@@ -594,6 +594,8 @@ Status RegionServer::LogAndApply(const std::shared_ptr<Region>& region,
         old.found = true;
         old.value = std::move(value);
         old.ts = old_ts;
+      } else if (!s.IsNotFound()) {
+        return s;  // nothing logged yet; "no old value" would be a lie
       }
       resp->old_values.push_back(std::move(old));
     }

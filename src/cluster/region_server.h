@@ -314,7 +314,9 @@ class RegionServer {
 
   // Cell read answered by the base-row cache when it can certify the
   // visible version, else by the region's LSM tree (a cached tombstone
-  // yields NotFound without touching the tree).
+  // yields NotFound without touching the tree). A tree read that hits an
+  // unverifiable block returns Corruption, never NotFound: read repair
+  // would take NotFound for a stale entry and delete a live one.
   Status CachedGet(const std::shared_ptr<Region>& region,
                    const std::string& table, const Slice& row,
                    const Slice& column, Timestamp read_ts, std::string* value,

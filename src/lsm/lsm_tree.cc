@@ -354,7 +354,11 @@ Status LsmTree::Get(const Slice& key, Timestamp read_ts, std::string* value,
     }
     if (!imm_decides) {
       for (const auto& table : state.tables) {
-        consider(table->Get(key, read_ts));
+        LookupResult candidate = table->Get(key, read_ts);
+        // An unreadable block may hold the newest version: answering from
+        // another store (or NotFound) would hide the corruption.
+        if (!candidate.status.ok()) return candidate.status;
+        consider(candidate);
       }
     }
   }

@@ -61,8 +61,9 @@ class LsmTree {
   // ---- Read path (thread-safe) ----
 
   // Newest version of `key` visible at read_ts. NotFound if absent or
-  // masked by a tombstone. version_ts (optional) receives the version's
-  // timestamp.
+  // masked by a tombstone; Corruption if a disk store's block could not be
+  // verified (never an older version in its place). version_ts (optional)
+  // receives the version's timestamp.
   Status Get(const Slice& key, Timestamp read_ts, std::string* value,
              Timestamp* version_ts = nullptr);
 

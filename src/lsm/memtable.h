@@ -29,6 +29,11 @@ struct LookupResult {
   LookupState state = LookupState::kNotPresent;
   std::string value;
   Timestamp ts = 0;
+  // Non-OK when the source could not be read (an SST block failed its
+  // checksum, or a read came up short). state is then kNotPresent, which
+  // says nothing about the key: the read must fail rather than fall
+  // through to an older source's version.
+  Status status;
 };
 
 class MemTable {

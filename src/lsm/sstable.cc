@@ -286,7 +286,8 @@ LookupResult SstReader::Get(const Slice& user_key, Timestamp read_ts) const {
   if (block_idx >= index_.size()) return result;
 
   std::shared_ptr<const std::string> block_contents;
-  if (!ReadBlock(block_idx, &block_contents).ok()) return result;
+  result.status = ReadBlock(block_idx, &block_contents);
+  if (!result.status.ok()) return result;
 
   Block block{Slice(*block_contents)};
   auto iter = block.NewIterator(block_contents);

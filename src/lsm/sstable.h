@@ -78,7 +78,8 @@ class SstReader {
                      uint64_t file_number,
                      std::shared_ptr<SstReader>* reader);
 
-  // Newest version of user_key with ts <= read_ts in this table.
+  // Newest version of user_key with ts <= read_ts in this table. A block
+  // that fails to read or verify is reported in the result's status.
   LookupResult Get(const Slice& user_key, Timestamp read_ts) const;
 
   // Full-table iterator in internal key order.

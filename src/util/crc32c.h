@@ -1,5 +1,10 @@
-// CRC32C (Castagnoli) checksum, software table implementation. Used to
-// detect torn or corrupted records in the WAL and SSTable blocks.
+// CRC32C (Castagnoli) checksum. Used to detect torn or corrupted records
+// in the WAL, SSTable blocks and checkpoint frames.
+//
+// Extend picks its implementation once, at first use: the SSE4.2 crc32
+// instruction (eight bytes per step) when the CPU has it, otherwise a
+// byte-at-a-time table loop. Both compute the same polynomial, so stored
+// checksums do not depend on the machine that wrote them.
 
 #ifndef DIFFINDEX_UTIL_CRC32C_H_
 #define DIFFINDEX_UTIL_CRC32C_H_
@@ -14,6 +19,14 @@ namespace diffindex::crc32c {
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
+
+namespace internal {
+
+// The table implementation, which Extend falls back to. Exposed so tests
+// can check the accelerated path against it.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+}  // namespace internal
 
 // Masking as in LevelDB: storing the CRC of a string that itself contains
 // CRCs is error-prone, so stored checksums are masked.

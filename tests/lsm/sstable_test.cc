@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
+#include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
 #include "util/random.h"
 
@@ -202,6 +205,66 @@ TEST_F(SstableTest, CorruptBlockDetected) {
   } else {
     EXPECT_TRUE(s.IsCorruption());
   }
+}
+
+// Flips one byte of `needle` inside the single file under `dir` that
+// contains it; returns that file's path ("" if no file or several do).
+std::string CorruptFileContaining(const std::string& dir,
+                                  const std::string& needle) {
+  std::string hit;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    const size_t pos = bytes.find(needle);
+    if (pos == std::string::npos) continue;
+    if (!hit.empty()) return "";
+    hit = entry.path().string();
+    std::fstream out(hit, std::ios::in | std::ios::out | std::ios::binary);
+    out.seekp(static_cast<std::streamoff>(pos));
+    out.put(static_cast<char>(bytes[pos] ^ 0xff));
+  }
+  return hit;
+}
+
+TEST_F(SstableTest, CorruptLaterBlockFailsPointReads) {
+  // Two disk stores: an old version of every key, then a new one.
+  const std::string tree_dir = dir_ + "/tree";
+  LsmOptions options = options_;
+  std::unique_ptr<LsmTree> tree;
+  ASSERT_TRUE(LsmTree::Open(options, tree_dir, &tree).ok());
+  for (Timestamp ts : {1, 2}) {
+    const std::string version = ts == 1 ? "old" : "new";
+    for (int i = 0; i < 200; i++) {
+      ASSERT_TRUE(tree->Put("k" + std::to_string(1000 + i),
+                            version + "-value-" + std::to_string(i), ts)
+                      .ok());
+    }
+    ASSERT_TRUE(tree->Flush().ok());
+  }
+  ASSERT_EQ(tree->NumDiskStores(), 2);
+  tree.reset();
+
+  // Corrupt the new store's block holding k1150: far past block 0, which
+  // Open reads, so Open succeeds and only the point read meets the damage.
+  const std::string sst = CorruptFileContaining(tree_dir, "new-value-150");
+  ASSERT_FALSE(sst.empty());
+
+  options.block_cache = std::make_shared<LruCache>(1 << 20);  // cold
+  std::shared_ptr<SstReader> reader;
+  ASSERT_TRUE(SstReader::Open(options, sst, 0, &reader).ok());
+  LookupResult r = reader->Get("k1150", kMaxTimestamp);
+  EXPECT_TRUE(r.status.IsCorruption()) << r.status.ToString();
+  EXPECT_EQ(r.state, LookupState::kNotPresent);
+  EXPECT_EQ(reader->Get("k1000", kMaxTimestamp).value, "new-value-0");
+
+  ASSERT_TRUE(LsmTree::Open(options, tree_dir, &tree).ok());
+  std::string value;
+  Status s = tree->Get("k1150", kMaxTimestamp, &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(value, "old-value-150");  // the older store must not answer
+  // Keys in intact blocks still read their newest version.
+  ASSERT_TRUE(tree->Get("k1000", kMaxTimestamp, &value).ok());
+  EXPECT_EQ(value, "new-value-0");
 }
 
 TEST_F(SstableTest, TruncatedFileFailsOpen) {

@@ -94,6 +94,45 @@ TEST(Crc32cTest, ExtendEqualsWhole) {
   EXPECT_EQ(whole, partial);
 }
 
+TEST(Crc32cTest, Rfc3720Vectors) {
+  // RFC 3720 appendix B.4 (iSCSI CRC32C test vectors).
+  std::string buf(32, '\x00');
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x8a9136aau);
+  buf.assign(32, '\xff');
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x62a8ab43u);
+  for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(i);
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x46dd794eu);
+  for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(31 - i);
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x113fdb5cu);
+}
+
+TEST(Crc32cTest, MatchesPortableTableImplementation) {
+  // Every length up to past two 4 KB blocks, at every start offset mod 8,
+  // so the word loop, the byte tail and unaligned loads are all covered.
+  Random rng(20140324);
+  const std::string data = rng.RandomBytes(9000 + 8);
+  for (size_t len = 0; len <= 9000; len++) {
+    for (size_t off = 0; off < 8; off++) {
+      const char* p = data.data() + off;
+      ASSERT_EQ(crc32c::Value(p, len),
+                crc32c::internal::ExtendPortable(0, p, len))
+          << "len=" << len << " off=" << off;
+    }
+  }
+  // Chained Extend from a non-zero init, split at a random point.
+  for (int i = 0; i < 2000; i++) {
+    const auto init = static_cast<uint32_t>(rng.Next());
+    const size_t off = rng.Uniform(8);
+    const size_t len = rng.Uniform(9001);
+    const size_t split = rng.Uniform(len + 1);
+    const char* p = data.data() + off;
+    const uint32_t chained =
+        crc32c::Extend(crc32c::Extend(init, p, split), p + split, len - split);
+    ASSERT_EQ(chained, crc32c::internal::ExtendPortable(init, p, len))
+        << "init=" << init << " len=" << len << " split=" << split;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTripAndDiffers) {
   const uint32_t crc = crc32c::Value("foo", 3);
   EXPECT_NE(crc32c::Mask(crc), crc);
