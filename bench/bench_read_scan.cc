@@ -1,10 +1,10 @@
 // Read-path baseline for the query engine (DESIGN.md §13): the same
-// range workload measured through (a) the legacy sequential path —
-// RangeByIndex's region-by-region walk plus one GetRow per hit — (b) the
-// engine's scatter-gather scan with batched read-repair, (c) the
-// scatter-gather scan serving a covered projection (zero base reads),
-// and, for sync-insert, (d) scatter-gather with the sequential per-hit
-// repair, isolating the MultiGet batching delta.
+// range workload measured through (a) the client path — RangeByIndex,
+// whose one page walks the index regions inline on the calling thread,
+// plus one GetRow per hit — (b) the engine's paged scatter-gather scan
+// with parallel legs, and (c) the scatter-gather scan serving a covered
+// projection (zero base reads). Every path runs the same batched
+// read-repair for sync-insert.
 //
 // The indexed values are hex-prefixed strings, so the index entries
 // spread across every index-table region and the scatter legs genuinely
@@ -133,7 +133,7 @@ struct QueryGen {
 using QueryFn = Status (*)(Env*, ReadEngine*, const std::string&,
                            const std::string&, uint64_t*);
 
-// (a) Legacy path: sequential region walk + one GetRow per hit.
+// (a) Client path: inline region walk + one GetRow per hit.
 Status SeqLoopQuery(Env* env, ReadEngine*, const std::string& lo,
                     const std::string& hi, uint64_t* rows_out) {
   std::vector<IndexHit> hits;
@@ -150,8 +150,7 @@ Status SeqLoopQuery(Env* env, ReadEngine*, const std::string& lo,
 }
 
 Status EngineQuery(Env* env, ReadEngine* engine, const std::string& lo,
-                   const std::string& hi, bool covered, bool batched,
-                   uint64_t* rows_out) {
+                   const std::string& hi, bool covered, uint64_t* rows_out) {
   (void)env;
   ScanSpec spec;
   spec.table = kTable;
@@ -161,7 +160,6 @@ Status EngineQuery(Env* env, ReadEngine* engine, const std::string& lo,
   spec.projection = {kColumn, kExtra};
   ScanOptions options;
   options.allow_covered = covered;
-  options.batched_repair = batched;
   std::vector<ScannedRow> rows;
   DIFFINDEX_RETURN_NOT_OK(engine->ScanByIndex(spec, options, &rows));
   *rows_out = rows.size();
@@ -170,26 +168,17 @@ Status EngineQuery(Env* env, ReadEngine* engine, const std::string& lo,
 
 Status ScatterQuery(Env* env, ReadEngine* engine, const std::string& lo,
                     const std::string& hi, uint64_t* rows) {
-  return EngineQuery(env, engine, lo, hi, /*covered=*/false,
-                     /*batched=*/true, rows);
-}
-
-Status ScatterSeqRepairQuery(Env* env, ReadEngine* engine,
-                             const std::string& lo, const std::string& hi,
-                             uint64_t* rows) {
-  return EngineQuery(env, engine, lo, hi, /*covered=*/false,
-                     /*batched=*/false, rows);
+  return EngineQuery(env, engine, lo, hi, /*covered=*/false, rows);
 }
 
 Status CoveredQuery(Env* env, ReadEngine* engine, const std::string& lo,
                     const std::string& hi, uint64_t* rows) {
-  return EngineQuery(env, engine, lo, hi, /*covered=*/true,
-                     /*batched=*/true, rows);
+  return EngineQuery(env, engine, lo, hi, /*covered=*/true, rows);
 }
 
-// Scan-stage pair: the serial region walk vs the scatter legs, with the
-// base fetch out of the picture on both sides (hits only / covered
-// entries only, one page wide enough for the whole range).
+// Scan-stage pair: the inline region walk vs the parallel scatter legs,
+// with the base fetch out of the picture on both sides (hits only /
+// covered entries only, one page wide enough for the whole range).
 Status WideSeqScanQuery(Env* env, ReadEngine*, const std::string& lo,
                         const std::string& hi, uint64_t* rows_out) {
   std::vector<IndexHit> hits;
@@ -292,10 +281,6 @@ void RunSeries(IndexScheme scheme, MetricsJsonWriter* writer) {
   RunMode(&env, &engine, label, "scan_scatter", WideScatterQuery,
           kWideQueries, kWidePrefixWidth);
   RunMode(&env, &engine, label, "seq_loop", SeqLoopQuery);
-  if (scheme == IndexScheme::kSyncInsert) {
-    RunMode(&env, &engine, label, "scatter_seqrepair",
-            ScatterSeqRepairQuery);
-  }
   RunMode(&env, &engine, label, "scatter_batched", ScatterQuery);
   RunMode(&env, &engine, label, "covered", CoveredQuery);
   writer->AddPoint(label, env.cluster.get());
@@ -319,12 +304,10 @@ int main(int argc, char** argv) {
   RunSeries(IndexScheme::kAsyncSession, &writer);
   if (!writer.Write()) return 1;
   printf("Expected shape: scan_scatter beats scan_seq under every scheme\n");
-  printf("(legs fan out instead of walking index regions serially), most\n");
-  printf("dramatically for sync-insert where the serial walk also pays a\n");
-  printf("double-check per entry; scatter_batched beats seq_loop and\n");
-  printf("scatter_seqrepair for sync-insert by collapsing K GetCell round\n");
-  printf("trips into per-server MultiGets (for the other schemes the two\n");
-  printf("are a wash: the per-hit base fetch stage is identical); covered\n");
-  printf("drops the base fetch to zero reads and wins everywhere.\n");
+  printf("(parallel legs instead of an inline walk over the index\n");
+  printf("regions); scatter_batched and seq_loop are close, since both\n");
+  printf("repair sync-insert hits with per-server MultiGets and fetch one\n");
+  printf("row per hit; covered drops the base fetch to zero reads and wins\n");
+  printf("everywhere.\n");
   return 0;
 }

@@ -29,7 +29,7 @@ void Drain(Cluster* cluster) {
 size_t PhysicalEntries(DiffIndexClient* client, const std::string& table,
                        const std::string& value) {
   IndexDescriptor index;
-  if (!client->reader()->FindIndex(table, "by_color", &index).ok()) return 0;
+  if (!client->FindIndex(table, "by_color", &index).ok()) return 0;
   std::vector<ScannedRow> rows;
   (void)client->raw_client()->ScanRows(index.index_table,
                                        IndexScanStartForValue(value),

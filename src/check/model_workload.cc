@@ -194,7 +194,6 @@ RunOutcome RunModel(const ModelOptions& options,
       ScanOptions scan;
       scan.page_entries = 2;
       scan.max_parallel = 1;
-      scan.batched_repair = true;
       for (int pass = 0; pass < 2; ++pass) {
         std::vector<ScannedRow> scanned;
         Status rs = engine.ScanByIndex(spec, scan, &scanned);

@@ -50,7 +50,7 @@ OracleReport CheckTerminalState(const OracleInput& input) {
 
   IndexDescriptor index;
   Status s =
-      input.client->reader()->FindIndex(input.table, input.index_name, &index);
+      input.client->FindIndex(input.table, input.index_name, &index);
   if (!s.ok()) {
     fail("oracle: FindIndex failed: " + s.ToString());
     return report;

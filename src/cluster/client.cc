@@ -86,6 +86,24 @@ CatalogSnapshot Client::catalog() {
   return catalog_;
 }
 
+Status Client::FindIndex(const std::string& table,
+                         const std::string& index_name,
+                         IndexDescriptor* index) {
+  MutexLock lock(mu_);
+  // Best-effort refresh: on failure the lookup runs on the cached
+  // (possibly empty) catalog and reports NotFound.
+  EnsureLayoutLocked().IgnoreError();
+  const TableDescriptor* desc = catalog_.GetTable(table);
+  if (desc == nullptr) return Status::NotFound("no such table: " + table);
+  for (const auto& candidate : desc->indexes) {
+    if (candidate.name == index_name) {
+      *index = candidate;
+      return Status::OK();
+    }
+  }
+  return Status::NotFound("no such index: " + index_name + " on " + table);
+}
+
 Status Client::RouteRow(const std::string& table, const Slice& row,
                         RegionInfoWire* info) {
   MutexLock lock(mu_);
@@ -107,13 +125,21 @@ Status Client::RouteRow(const std::string& table, const Slice& row,
   return Status::OK();
 }
 
-std::vector<RegionInfoWire> Client::TableRegions(const std::string& table) {
+std::vector<RegionInfoWire> Client::TableRegions(const std::string& table,
+                                                 const std::string& start_row,
+                                                 const std::string& end_row) {
   MutexLock lock(mu_);
   // Best-effort refresh; an unreachable master yields an empty listing.
   EnsureLayoutLocked().IgnoreError();
   std::vector<RegionInfoWire> result;
   for (const auto& region : regions_) {
-    if (region.table == table) result.push_back(region);
+    if (region.table != table) continue;
+    if (!region.end_row.empty() && region.end_row <= start_row) continue;
+    if (!end_row.empty() && !region.start_row.empty() &&
+        region.start_row >= end_row) {
+      continue;
+    }
+    result.push_back(region);
   }
   return result;
 }

@@ -36,7 +36,7 @@ struct ClientOptions {
   // distinct clients desynchronize by default.
   uint64_t retry_jitter_seed = 0;
   // Observability sinks (either may be null); also inherited by the
-  // DiffIndexClient / IndexReader built on top of this client. Exports
+  // DiffIndexClient built on top of this client. Exports
   // counters `client.retries` (every retry sleep) and
   // `client.retry_exhausted` (gave up after max_retries).
   obs::MetricsRegistry* metrics = nullptr;
@@ -129,10 +129,18 @@ class Client {
 
   Status RefreshLayout();
   CatalogSnapshot catalog();
+  // Descriptor of index `index_name` on `table`, looked up in the cached
+  // catalog without copying it; NotFound for an unknown table or index.
+  Status FindIndex(const std::string& table, const std::string& index_name,
+                   IndexDescriptor* index);
   // Region hosting `row`, from the cached layout.
   Status RouteRow(const std::string& table, const Slice& row,
                   RegionInfoWire* info);
-  std::vector<RegionInfoWire> TableRegions(const std::string& table);
+  // Regions of `table` overlapping [start_row, end_row) (end_row empty =
+  // unbounded), in key order, from the cached layout.
+  std::vector<RegionInfoWire> TableRegions(
+      const std::string& table, const std::string& start_row = std::string(),
+      const std::string& end_row = std::string());
 
   NodeId self_node() const { return self_node_; }
   uint64_t layout_refreshes() const { return layout_refreshes_; }

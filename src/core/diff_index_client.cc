@@ -1,6 +1,8 @@
 #include "core/diff_index_client.h"
 
-#include "core/index_codec.h"
+#include <algorithm>
+
+#include "query/engine.h"
 
 namespace diffindex {
 
@@ -9,10 +11,18 @@ DiffIndexClient::DiffIndexClient(std::shared_ptr<Client> client,
                                  const SessionOptions& session_options)
     : client_(std::move(client)),
       stats_(stats),
-      reader_(client_, stats),
       sessions_(session_options),
+      engine_(std::make_unique<ReadEngine>(this)),
       metrics_(client_->metrics()),
       traces_(client_->traces()) {}
+
+DiffIndexClient::~DiffIndexClient() = default;
+
+Status DiffIndexClient::FindIndex(const std::string& table,
+                                  const std::string& index_name,
+                                  IndexDescriptor* index) {
+  return client_->FindIndex(table, index_name, index);
+}
 
 std::string DiffIndexClient::SchemeTag(const std::string& table) {
   {
@@ -83,13 +93,81 @@ Status DiffIndexClient::GetRow(const std::string& table,
   return client_->GetRow(table, row, kMaxTimestamp, resp);
 }
 
+Status DiffIndexClient::ReadIndex(const std::string& table,
+                                  const std::string& index_name,
+                                  const std::string& value_lo_encoded,
+                                  const std::string& value_hi_encoded,
+                                  uint32_t limit, SessionId session,
+                                  std::vector<IndexHit>* hits) {
+  hits->clear();
+  IndexDescriptor index;
+  DIFFINDEX_RETURN_NOT_OK(FindIndex(table, index_name, &index));
+  if (metrics_ != nullptr) metrics_->GetCounter("index.read")->Add();
+  if (stats_ != nullptr) stats_->AddIndexRead();
+  if (index.is_local) {
+    // Maintained inside the put itself, so a session's own writes are
+    // already visible: no private entries to merge.
+    return BroadcastLocalScan(index, table, value_lo_encoded,
+                              value_hi_encoded, limit, hits);
+  }
+  ScanSpec spec;
+  spec.table = table;
+  spec.index_name = index_name;
+  spec.value_lo_encoded = value_lo_encoded;
+  spec.value_hi_encoded = value_hi_encoded;
+  spec.limit = limit;
+  ScanOptions options;
+  // One page over the whole range, legs run inline on this thread: the
+  // same walk and RPC count as a serial region-by-region scan, and no
+  // pool threads under the model checker.
+  options.page_entries = 0;
+  options.max_parallel = 1;
+  options.session = session;
+  return engine_->ReadHits(std::move(spec), options, std::move(index), hits);
+}
+
+Status DiffIndexClient::BroadcastLocalScan(const IndexDescriptor& index,
+                                           const std::string& table,
+                                           const std::string& value_lo_encoded,
+                                           const std::string& value_hi_encoded,
+                                           uint32_t limit,
+                                           std::vector<IndexHit>* hits) {
+  std::vector<RawEntry> entries;
+  DIFFINDEX_RETURN_NOT_OK(client_->ScanLocalIndex(
+      table, index.name, IndexRangeStart(value_lo_encoded),
+      value_hi_encoded.empty() ? "" : IndexRangeEnd(value_hi_encoded),
+      kMaxTimestamp, limit, &entries));
+  hits->reserve(entries.size());
+  for (const auto& entry : entries) {
+    IndexHit hit;
+    if (!DecodeIndexRow(entry.key, &hit.value_encoded, &hit.base_row)) {
+      hits->clear();
+      return Status::Corruption("malformed local index row");
+    }
+    hit.ts = entry.ts;
+    hits->push_back(std::move(hit));
+  }
+  // Per-region results arrive region by region; normalize the order.
+  std::sort(hits->begin(), hits->end(),
+            [](const IndexHit& a, const IndexHit& b) {
+              if (a.value_encoded != b.value_encoded) {
+                return a.value_encoded < b.value_encoded;
+              }
+              return a.base_row < b.base_row;
+            });
+  return Status::OK();
+}
+
+// An exact match on v is the range [v, v + '\0'): no encoded value sorts
+// strictly between the two.
 Status DiffIndexClient::GetByIndex(const std::string& table,
                                    const std::string& index_name,
                                    const std::string& value_encoded,
                                    std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("get_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.get_by_index");
-  return reader_.GetByIndex(table, index_name, value_encoded, hits);
+  return ReadIndex(table, index_name, value_encoded, value_encoded + '\0', 0,
+                   /*session=*/0, hits);
 }
 
 Status DiffIndexClient::RangeByIndex(const std::string& table,
@@ -100,8 +178,8 @@ Status DiffIndexClient::RangeByIndex(const std::string& table,
                                      std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("range_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.range_by_index");
-  return reader_.RangeByIndex(table, index_name, value_lo_encoded,
-                              value_hi_encoded, limit, hits);
+  return ReadIndex(table, index_name, value_lo_encoded, value_hi_encoded,
+                   limit, /*session=*/0, hits);
 }
 
 Status DiffIndexClient::QueryByIndex(const std::string& table,
@@ -153,6 +231,8 @@ Status DiffIndexClient::SessionPut(SessionId session, const std::string& table,
   if (desc == nullptr) return Status::OK();
 
   for (const IndexDescriptor& index : desc->indexes) {
+    // A local index is updated inside the put, so reads already see it.
+    if (index.is_local) continue;
     // Private tracking needs every component value client-side, so it is
     // maintained for indexes fully determined by this put (all single-
     // column indexes qualify).
@@ -203,15 +283,8 @@ Status DiffIndexClient::SessionGetByIndex(SessionId session,
                                           std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("session_get_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.session_get_by_index");
-  IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(reader_.FindIndex(table, index_name, &index));
-  DIFFINDEX_RETURN_NOT_OK(
-      reader_.GetByIndex(table, index_name, value_encoded, hits));
-  // Merge the session's private view over the server results.
-  return sessions_.MergeHits(session, index.index_table,
-                             IndexScanStartForValue(value_encoded),
-                             IndexScanEndForValue(value_encoded), hits,
-                             /*degraded=*/nullptr);
+  return ReadIndex(table, index_name, value_encoded, value_encoded + '\0', 0,
+                   session, hits);
 }
 
 Status DiffIndexClient::SessionRangeByIndex(
@@ -220,16 +293,10 @@ Status DiffIndexClient::SessionRangeByIndex(
     const std::string& value_hi_encoded, std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("session_range_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.session_range_by_index");
-  IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(reader_.FindIndex(table, index_name, &index));
-  // No limit: a server-side limit would make the private-entry merge
-  // ambiguous about what the cutoff hides.
-  DIFFINDEX_RETURN_NOT_OK(reader_.RangeByIndex(
-      table, index_name, value_lo_encoded, value_hi_encoded, 0, hits));
-  return sessions_.MergeHits(session, index.index_table,
-                             IndexRangeStart(value_lo_encoded),
-                             IndexRangeEnd(value_hi_encoded), hits,
-                             /*degraded=*/nullptr);
+  // No limit: it would make the private-entry merge ambiguous about what
+  // the cutoff hides.
+  return ReadIndex(table, index_name, value_lo_encoded, value_hi_encoded, 0,
+                   session, hits);
 }
 
 }  // namespace diffindex

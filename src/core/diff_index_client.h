@@ -7,10 +7,11 @@
 //   getFromIndex(s, table, colname, colvalue)
 //   end_session(s)
 //
-// Exact-match and range lookups dispatch per the index's scheme: plain
-// index scan for sync-full/async, double-check-and-clean (Algorithm 2)
-// for sync-insert, session-cache merge for async-session reads made
-// through a session.
+// Index reads on a global index run on the client's ReadEngine
+// (query/engine.h), the one index read path: a plain index scan for
+// sync-full/async, double-check-and-clean (Algorithm 2) for sync-insert,
+// session-cache merge for reads made through a session. A local index is
+// read by broadcasting to every region of the base table.
 
 #ifndef DIFFINDEX_CORE_DIFF_INDEX_CLIENT_H_
 #define DIFFINDEX_CORE_DIFF_INDEX_CLIENT_H_
@@ -21,7 +22,8 @@
 #include <vector>
 
 #include "cluster/client.h"
-#include "core/index_read.h"
+#include "core/index_codec.h"
+#include "core/op_stats.h"
 #include "core/session.h"
 #include "obs/trace.h"
 #include "util/mutex.h"
@@ -29,11 +31,14 @@
 
 namespace diffindex {
 
+class ReadEngine;
+
 class DiffIndexClient {
  public:
   // stats may be null.
   DiffIndexClient(std::shared_ptr<Client> client, OpStats* stats = nullptr,
                   const SessionOptions& session_options = SessionOptions());
+  ~DiffIndexClient();
 
   // ---- Base table operations ----
 
@@ -51,7 +56,8 @@ class DiffIndexClient {
   // ---- Index reads ----
 
   // Base rowkeys whose indexed column equals value_encoded (use the
-  // index_codec Encode*IndexValue helpers for typed columns).
+  // index_codec Encode*IndexValue helpers for typed columns). Corruption
+  // if the scanned index range holds an undecodable index row.
   Status GetByIndex(const std::string& table, const std::string& index_name,
                     const std::string& value_encoded,
                     std::vector<IndexHit>* hits);
@@ -90,10 +96,16 @@ class DiffIndexClient {
                              const std::string& value_hi_encoded,
                              std::vector<IndexHit>* hits);
 
+  // Looks up the index descriptor in the cached catalog.
+  Status FindIndex(const std::string& table, const std::string& index_name,
+                   IndexDescriptor* index);
+
   // ---- Accessors ----
 
   Client* raw_client() { return client_.get(); }
-  IndexReader* reader() { return &reader_; }
+  // The read engine behind the index reads; also serves paged scans
+  // (query/engine.h) that share its leg pool.
+  ReadEngine* read_engine() { return engine_.get(); }
   SessionManager* sessions() { return &sessions_; }
   OpStats* stats() { return stats_; }
 
@@ -107,10 +119,28 @@ class DiffIndexClient {
   // one is active (e.g. inside a StalenessProbe cycle), else a fresh root.
   obs::TraceContext OpContext(const char* op, const std::string& table);
 
+  // The one index read behind GetByIndex, RangeByIndex and their session
+  // variants: hits with encoded value in [lo, hi) (hi "" = open), at most
+  // `limit` scanned entries (0 = unlimited), merged with `session`'s
+  // private entries when non-zero. Counts one Table-2 index read.
+  Status ReadIndex(const std::string& table, const std::string& index_name,
+                   const std::string& value_lo_encoded,
+                   const std::string& value_hi_encoded, uint32_t limit,
+                   SessionId session, std::vector<IndexHit>* hits);
+
+  // A local index's entries live inside the base regions: one scan per
+  // region of the base table, merged into index order.
+  Status BroadcastLocalScan(const IndexDescriptor& index,
+                            const std::string& table,
+                            const std::string& value_lo_encoded,
+                            const std::string& value_hi_encoded,
+                            uint32_t limit, std::vector<IndexHit>* hits);
+
   std::shared_ptr<Client> client_;
   OpStats* const stats_;
-  IndexReader reader_;
   SessionManager sessions_;
+  // Runs the global-index reads; legs inline (see ReadIndex).
+  std::unique_ptr<ReadEngine> engine_;
 
   // Observability sinks inherited from the underlying Client (may be
   // null).

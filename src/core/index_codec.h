@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "util/slice.h"
+#include "util/timestamp_oracle.h"
 
 namespace diffindex {
 
@@ -46,6 +47,15 @@ std::string EncodeIndexRow(const Slice& value_encoded, const Slice& base_row);
 // Splits an index row back into (value_encoded, base_row).
 bool DecodeIndexRow(const Slice& index_row, std::string* value_encoded,
                     std::string* base_row);
+
+// One decoded index entry, as index reads return it.
+struct IndexHit {
+  std::string base_row;
+  // Encoded index value the entry carried (needed for range queries and
+  // for session-cache merging).
+  std::string value_encoded;
+  Timestamp ts = 0;
+};
 
 // Scan bounds covering exactly the entries with value == v_encoded.
 std::string IndexScanStartForValue(const Slice& value_encoded);

@@ -5,7 +5,7 @@
 //   sync-full   (Algorithm 1): SU2 put new index entry @ ts;
 //               SU3 read old base value @ ts-δ; SU4 delete old entry @ ts-δ.
 //   sync-insert: SU2 only; stale entries are repaired at read time
-//               (core/index_read.h).
+//               (query/read_repair.h).
 //   async-*    (Algorithm 3): enqueue to the AUQ; the APS performs
 //               BA2 read old @ ts-δ, BA3 delete old @ ts-δ,
 //               BA4 put new @ ts (Algorithm 4).

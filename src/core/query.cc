@@ -6,11 +6,6 @@
 
 namespace diffindex {
 
-QueryEngine::QueryEngine(DiffIndexClient* client)
-    : client_(client), read_engine_(std::make_unique<ReadEngine>(client)) {}
-
-QueryEngine::~QueryEngine() = default;
-
 namespace {
 
 // Smallest byte string strictly greater than `v` in prefix order: append
@@ -176,22 +171,6 @@ void QueryEngine::Project(const std::vector<std::string>& projection,
   }
 }
 
-Status QueryEngine::FetchByHits(const Query& query,
-                                const std::vector<IndexHit>& hits,
-                                std::vector<ScannedRow>* rows) {
-  for (const IndexHit& hit : hits) {
-    GetRowResponse resp;
-    DIFFINDEX_RETURN_NOT_OK(client_->GetRow(query.table, hit.base_row,
-                                            &resp));
-    if (!resp.found) continue;  // row vanished since the index read
-    ScannedRow row;
-    row.row = hit.base_row;
-    row.cells = std::move(resp.cells);
-    rows->push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
 Status QueryEngine::Execute(const Query& query,
                             std::vector<ScannedRow>* rows) {
   rows->clear();
@@ -201,10 +180,8 @@ Status QueryEngine::Execute(const Query& query,
   std::vector<ScannedRow> fetched;
   switch (plan.kind) {
     case PlanKind::kIndexExact: {
-      std::vector<IndexHit> hits;
-      DIFFINDEX_RETURN_NOT_OK(client_->GetByIndex(
-          query.table, plan.index_name, plan.exact_value, &hits));
-      DIFFINDEX_RETURN_NOT_OK(FetchByHits(query, hits, &fetched));
+      DIFFINDEX_RETURN_NOT_OK(client_->QueryByIndex(
+          query.table, plan.index_name, plan.exact_value, &fetched));
       break;
     }
     case PlanKind::kIndexRange: {
@@ -219,7 +196,7 @@ Status QueryEngine::Execute(const Query& query,
       spec.value_hi_encoded = plan.range_end;
       if (plan.residual.empty()) spec.projection = query.projection;
       DIFFINDEX_RETURN_NOT_OK(
-          read_engine_->ScanByIndex(spec, ScanOptions(), &fetched));
+          client_->read_engine()->ScanByIndex(spec, ScanOptions(), &fetched));
       break;
     }
     case PlanKind::kFullScan: {

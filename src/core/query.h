@@ -13,15 +13,12 @@
 #ifndef DIFFINDEX_CORE_QUERY_H_
 #define DIFFINDEX_CORE_QUERY_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/diff_index_client.h"
 
 namespace diffindex {
-
-class ReadEngine;
 
 enum class PredicateOp { kEq, kLt, kLe, kGt, kGe };
 
@@ -56,8 +53,7 @@ struct QueryPlan {
 
 class QueryEngine {
  public:
-  explicit QueryEngine(DiffIndexClient* client);
-  ~QueryEngine();
+  explicit QueryEngine(DiffIndexClient* client) : client_(client) {}
 
   // Chooses the access path from the catalog; pure planning, no I/O
   // beyond the cached layout.
@@ -68,20 +64,13 @@ class QueryEngine {
 
   Status Explain(const Query& query, std::string* text);
 
-  // The scatter-gather scan engine behind kIndexRange execution
-  // (query/engine.h); exposed so callers can tune or share it.
-  ReadEngine* read_engine() { return read_engine_.get(); }
-
  private:
-  Status FetchByHits(const Query& query, const std::vector<IndexHit>& hits,
-                     std::vector<ScannedRow>* rows);
   static bool RowMatches(const ScannedRow& row,
                          const std::vector<Predicate>& predicates);
   static void Project(const std::vector<std::string>& projection,
                       std::vector<ScannedRow>* rows);
 
   DiffIndexClient* const client_;
-  std::unique_ptr<ReadEngine> read_engine_;
 };
 
 }  // namespace diffindex

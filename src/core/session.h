@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/index_read.h"
+#include "core/index_codec.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"

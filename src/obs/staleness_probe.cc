@@ -30,8 +30,7 @@ const std::string& StalenessProbe::SchemeTag() {
   MutexLock lock(scheme_mu_);
   if (scheme_tag_.empty()) {
     IndexDescriptor index;
-    if (client_->reader()
-            ->FindIndex(options_.table, options_.index_name, &index)
+    if (client_->FindIndex(options_.table, options_.index_name, &index)
             .ok()) {
       scheme_tag_ = IndexSchemeName(index.scheme);
     }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "cluster/catalog.h"
-#include "core/index_read.h"
+#include "core/index_codec.h"
 
 namespace diffindex {
 

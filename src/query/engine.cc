@@ -58,13 +58,15 @@ void ProjectCells(const std::vector<std::string>& projection,
 
 // ---- IndexScanner ----
 
-IndexScanner::IndexScanner(ReadEngine* engine, const ScanSpec& spec,
-                           const ScanOptions& options,
-                           const IndexDescriptor& index)
-    : engine_(engine), spec_(spec), options_(options), index_(index) {
-  cursor_ = IndexRangeStart(spec.value_lo_encoded);
-  if (!spec.value_hi_encoded.empty()) {
-    end_key_ = IndexRangeEnd(spec.value_hi_encoded);
+IndexScanner::IndexScanner(ReadEngine* engine, ScanSpec spec,
+                           const ScanOptions& options, IndexDescriptor index)
+    : engine_(engine),
+      spec_(std::move(spec)),
+      options_(options),
+      index_(std::move(index)) {
+  cursor_ = IndexRangeStart(spec_.value_lo_encoded);
+  if (!spec_.value_hi_encoded.empty()) {
+    end_key_ = IndexRangeEnd(spec_.value_hi_encoded);
   }
 }
 
@@ -74,51 +76,43 @@ void IndexScanner::SeekTo(const std::string& cursor) {
   returned_ = 0;
 }
 
-Status IndexScanner::GatherOnce(uint32_t budget, std::vector<RawEntry>* out,
-                                bool* truncated) {
+Status IndexScanner::GatherOnce(uint32_t budget,
+                                std::vector<IndexScanResponse>* responses,
+                                uint64_t* legs_issued) {
   Client* raw = engine_->client_->raw_client();
-  obs::MetricsRegistry* metrics = raw->metrics();
 
   // Regions of the index table overlapping [cursor_, end_key_). Regions
   // partition the keyspace, so an empty overlap means the layout is not
   // loaded yet — report Unavailable to drive the refresh-and-retry loop.
-  std::vector<RegionInfoWire> legs;
-  for (auto& region : raw->TableRegions(index_.index_table)) {
-    if (!region.end_row.empty() && region.end_row <= cursor_) continue;
-    if (!end_key_.empty() && region.start_row >= end_key_ &&
-        !region.start_row.empty()) {
-      continue;
-    }
-    legs.push_back(std::move(region));
-  }
+  const std::vector<RegionInfoWire> legs =
+      raw->TableRegions(index_.index_table, cursor_, end_key_);
   if (legs.empty()) {
     return Status::Unavailable("no layout for " + index_.index_table);
   }
-  if (metrics != nullptr) {
-    metrics->GetCounter("query.legs")->Add(legs.size());
-  }
+  *legs_issued += legs.size();
 
   // Every leg asks for the full page budget: leg results that overflow
   // the budget at merge time are discarded (regions underneath a
   // selective range are usually sparse, so the overshoot is small).
-  std::vector<IndexScanResponse> responses(legs.size());
+  responses->clear();
+  responses->resize(legs.size());
   std::vector<Status> statuses(legs.size(), Status::OK());
   const bool inline_legs = options_.max_parallel <= 1 || legs.size() == 1;
   if (inline_legs) {
     for (size_t i = 0; i < legs.size(); i++) {
       statuses[i] = raw->IndexScanRegion(index_.index_table, legs[i], cursor_,
                                          end_key_, kMaxTimestamp, budget,
-                                         &responses[i]);
+                                         &(*responses)[i]);
     }
   } else {
     ThreadPool* pool = engine_->pool();
     LegLatch latch(legs.size());
     for (size_t i = 0; i < legs.size(); i++) {
-      auto leg = [this, raw, &latch, &legs, &statuses, &responses, budget,
+      auto leg = [this, raw, &latch, &legs, &statuses, responses, budget,
                   i]() {
         statuses[i] = raw->IndexScanRegion(index_.index_table, legs[i],
                                            cursor_, end_key_, kMaxTimestamp,
-                                           budget, &responses[i]);
+                                           budget, &(*responses)[i]);
         latch.CountDown();
       };
       if (!pool->Submit(leg)) leg();  // pool shut down: degrade to inline
@@ -127,25 +121,99 @@ Status IndexScanner::GatherOnce(uint32_t budget, std::vector<RawEntry>* out,
   }
 
   DIFFINDEX_FAILPOINT("query.merge");
+  for (const Status& status : statuses) DIFFINDEX_RETURN_NOT_OK(status);
+  return Status::OK();
+}
+
+Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs) {
+  hits->clear();
+  if (exhausted_) return Status::OK();
+
+  DiffIndexClient* client = engine_->client_;
+  Client* raw = client->raw_client();
+
+  uint32_t budget = options_.page_entries;
+  if (spec_.limit != 0) {
+    const uint64_t left = static_cast<uint64_t>(spec_.limit) - returned_;
+    budget = static_cast<uint32_t>(
+        budget == 0 ? left : std::min<uint64_t>(budget, left));
+  }
+
+  std::vector<IndexScanResponse> responses;
+  for (int attempt = 0;; attempt++) {
+    Status gather = GatherOnce(budget, &responses, legs);
+    if (gather.ok()) break;
+    if (!(gather.IsWrongRegion() || gather.IsUnavailable()) ||
+        attempt >= engine_->options_.max_page_retries) {
+      return gather;
+    }
+    engine_->BackoffBeforeRetry(attempt + 1);
+    // Best effort: even a failed refresh is worth another attempt (the
+    // master may come back).
+    raw->RefreshLayout().IgnoreError();
+  }
 
   // Regions partition the keyspace and legs are in region order, so the
-  // ordered merge is a concatenation, trimmed to the page budget.
-  out->clear();
-  for (size_t i = 0; i < legs.size(); i++) {
-    DIFFINDEX_RETURN_NOT_OK(statuses[i]);
-    for (auto& entry : responses[i].entries) {
-      if (out->size() >= budget) {
-        *truncated = true;
-        return Status::OK();
+  // ordered merge is a concatenation of the legs, trimmed to the page
+  // budget. Until repair, hits->size() counts the scanned entries.
+  size_t gathered = 0;
+  for (const auto& resp : responses) gathered += resp.entries.size();
+  hits->reserve(budget == 0 ? gathered : std::min<size_t>(gathered, budget));
+  bool truncated = false;
+  const std::string* last_key = nullptr;
+  for (const auto& resp : responses) {
+    for (const auto& entry : resp.entries) {
+      if (budget != 0 && hits->size() >= budget) {
+        truncated = true;
+        break;
       }
-      out->push_back(std::move(entry));
+      IndexHit hit;
+      if (!DecodeIndexRow(entry.key, &hit.value_encoded, &hit.base_row)) {
+        hits->clear();
+        return Status::Corruption("malformed index row in " +
+                                  index_.index_table);
+      }
+      hit.ts = entry.ts;
+      hits->push_back(std::move(hit));
+      last_key = &entry.key;
     }
-    if (responses[i].more) {
-      *truncated = true;
-      return Status::OK();
+    if (truncated || resp.more) {
+      truncated = true;
+      break;
     }
   }
-  *truncated = false;
+  const uint64_t scanned = hits->size();
+  const bool done =
+      !truncated || (spec_.limit != 0 && returned_ + scanned >= spec_.limit);
+
+  // Where the cursor goes once this page succeeds. Index rows contain no
+  // 0x00, so key + '\0' restarts strictly after the last returned entry
+  // while excluding nothing else.
+  std::string next_cursor;
+  if (last_key != nullptr) {
+    next_cursor.reserve(last_key->size() + 1);
+    next_cursor.append(*last_key).push_back('\0');
+  } else {
+    next_cursor = cursor_;
+  }
+
+  if (index_.scheme == IndexScheme::kSyncInsert) {
+    DIFFINDEX_RETURN_NOT_OK(
+        BatchedRepairHits(raw, client->stats(), spec_.table, index_, hits));
+  }
+
+  if (options_.session != 0) {
+    // Page windows are disjoint and in index order, and MergeHits keeps
+    // (value, base_row) order inside the window, so the merged stream
+    // stays globally ordered.
+    DIFFINDEX_RETURN_NOT_OK(client->sessions()->MergeHits(
+        options_.session, index_.index_table, cursor_,
+        done ? end_key_ : next_cursor, hits, /*degraded=*/nullptr));
+  }
+
+  returned_ += scanned;
+  cursor_ = std::move(next_cursor);
+  exhausted_ = done;
   return Status::OK();
 }
 
@@ -160,72 +228,12 @@ Status IndexScanner::NextPage(ScanPage* page) {
   obs::MetricsRegistry* metrics = raw->metrics();
   obs::SpanTimer span(metrics, raw->traces(), "query.page");
 
-  uint32_t budget = options_.page_entries == 0 ? 1 : options_.page_entries;
-  if (spec_.limit != 0) {
-    budget = static_cast<uint32_t>(std::min<uint64_t>(
-        budget, static_cast<uint64_t>(spec_.limit) - returned_));
-  }
-
-  const std::string page_start = cursor_;
-  std::vector<RawEntry> merged;
-  bool truncated = false;
-  Status gather = Status::OK();
-  for (int attempt = 0;; attempt++) {
-    gather = GatherOnce(budget, &merged, &truncated);
-    if (gather.ok()) break;
-    if (!(gather.IsWrongRegion() || gather.IsUnavailable()) ||
-        attempt >= engine_->options_.max_page_retries) {
-      return gather;
-    }
-    engine_->BackoffBeforeRetry(attempt + 1);
-    // Best effort: even a failed refresh is worth another attempt (the
-    // master may come back).
-    raw->RefreshLayout().IgnoreError();
-  }
-
-  if (metrics != nullptr) metrics->GetCounter("query.pages")->Add();
-
-  returned_ += merged.size();
-  if (!merged.empty()) {
-    // Index rows contain no 0x00, so key + '\0' restarts strictly after
-    // the last returned entry while excluding nothing else.
-    cursor_ = merged.back().key + '\0';
-  }
-  if (!truncated || (spec_.limit != 0 && returned_ >= spec_.limit)) {
-    exhausted_ = true;
-  }
-
   std::vector<IndexHit> hits;
-  hits.reserve(merged.size());
-  for (auto& entry : merged) {
-    IndexHit hit;
-    if (!DecodeIndexRow(entry.key, &hit.value_encoded, &hit.base_row)) {
-      continue;  // foreign key in the index keyspace; skip like ScanIndex
-    }
-    hit.ts = entry.ts;
-    hits.push_back(std::move(hit));
-  }
-
-  if (index_.scheme == IndexScheme::kSyncInsert && !hits.empty()) {
-    if (options_.batched_repair) {
-      DIFFINDEX_RETURN_NOT_OK(BatchedRepairHits(raw, client->stats(),
-                                                spec_.table, index_, &hits));
-    } else {
-      DIFFINDEX_RETURN_NOT_OK(SequentialRepairHits(
-          raw, client->stats(), spec_.table, index_, &hits));
-    }
-  }
-
-  if (options_.session != 0) {
-    // Page windows are disjoint and in index order, and MergeHits keeps
-    // (value, base_row) order inside the window, so the merged stream
-    // stays globally ordered.
-    const std::string& window_end = exhausted_ ? end_key_ : cursor_;
-    bool degraded = false;
-    DIFFINDEX_RETURN_NOT_OK(client->sessions()->MergeHits(
-        options_.session, index_.index_table, page_start, window_end, &hits,
-        &degraded));
-  }
+  uint64_t legs = 0;
+  Status s = NextHits(&hits, &legs);
+  if (metrics != nullptr) metrics->GetCounter("query.legs")->Add(legs);
+  DIFFINDEX_RETURN_NOT_OK(s);
+  if (metrics != nullptr) metrics->GetCounter("query.pages")->Add();
 
   const bool covered =
       options_.allow_covered && CoveredProjectionEligible(index_, spec_.projection);
@@ -293,13 +301,31 @@ Status ReadEngine::NewScan(const ScanSpec& spec, const ScanOptions& options,
                            std::unique_ptr<IndexScanner>* scanner) {
   IndexDescriptor index;
   DIFFINDEX_RETURN_NOT_OK(
-      client_->reader()->FindIndex(spec.table, spec.index_name, &index));
+      client_->FindIndex(spec.table, spec.index_name, &index));
   if (index.is_local) {
     return Status::InvalidArgument(
         "scatter-gather scan requires a global index: " + spec.index_name);
   }
   // make_unique cannot reach the private constructor.
-  scanner->reset(new IndexScanner(this, spec, options, index));  // NOLINT(diffindex-naked-new)
+  scanner->reset(new IndexScanner(this, spec, options, std::move(index)));  // NOLINT(diffindex-naked-new)
+  return Status::OK();
+}
+
+Status ReadEngine::ReadHits(ScanSpec spec, const ScanOptions& options,
+                            IndexDescriptor index,
+                            std::vector<IndexHit>* hits) {
+  hits->clear();
+  IndexScanner scanner(this, std::move(spec), options, std::move(index));
+  std::vector<IndexHit> page;
+  uint64_t legs = 0;
+  while (!scanner.exhausted()) {
+    DIFFINDEX_RETURN_NOT_OK(scanner.NextHits(&page, &legs));
+    if (hits->empty()) {
+      hits->swap(page);
+    } else {
+      for (auto& hit : page) hits->push_back(std::move(hit));
+    }
+  }
   return Status::OK();
 }
 

@@ -1,13 +1,15 @@
 // Read-side query engine: paged, resumable index range scans that fan
-// out in parallel across the index regions covering the key range
-// (scatter-gather), with covered-index projections (query/covered.h) and
-// batched read-repair for sync-insert (query/read_repair.h).
+// out across the index regions covering the key range (scatter-gather),
+// with covered-index projections (query/covered.h) and batched
+// read-repair for sync-insert (query/read_repair.h).
 //
-// The legacy read path (IndexReader::RangeByIndex) walks index regions
-// one at a time from a single thread; the engine instead issues one
+// This is the one read path over a global index. Each page issues one
 // kIndexScan leg per overlapping region, merges the legs in region order
-// (regions partition the keyspace, so the merge is a concatenation), and
-// exposes the result a page at a time behind a resumable cursor.
+// (regions partition the keyspace, so the merge is a concatenation),
+// decodes the entries, runs sync-insert read-repair and the session
+// merge, and — for NextPage — materialises rows. DiffIndexClient's
+// GetByIndex/RangeByIndex (and their session variants) run the same
+// step through ReadHits, without the row materialisation.
 //
 // Per-page retry: a leg that lands on a moved region fails fast with
 // WrongRegion (legs are addressed by region id); the engine refreshes
@@ -15,9 +17,9 @@
 // page-granular retry is safe.
 //
 // Observability: counters query.pages / query.legs / query.covered /
-// query.base_reads, span stages query.page and query.repair, and the
-// fault seam DIFFINDEX_FAILPOINT("query.merge") between leg gather and
-// merge.
+// query.base_reads (pages and legs count NextPage pages only), span
+// stages query.page and query.repair, and the fault seam
+// DIFFINDEX_FAILPOINT("query.merge") between leg gather and merge.
 
 #ifndef DIFFINDEX_QUERY_ENGINE_H_
 #define DIFFINDEX_QUERY_ENGINE_H_
@@ -45,22 +47,20 @@ struct ScanSpec {
   // from the index entries alone — zero base reads.
   std::vector<std::string> projection;
   // Total index entries scanned across all pages; 0 = unlimited. Counted
-  // before read-repair drops stale entries, matching
-  // IndexReader::RangeByIndex's limit semantics.
+  // before read-repair drops stale entries.
   uint32_t limit = 0;
 };
 
 struct ScanOptions {
-  uint32_t page_entries = 256;  // max index entries per page (min 1)
+  // Max index entries per page; 0 = unbounded (one page covers the
+  // range, which is how DiffIndexClient's index reads run).
+  uint32_t page_entries = 256;
   // >1: legs of a page run on the engine's thread pool (whose size,
   // ReadEngineOptions::max_parallel_legs, is the actual cap). <=1: legs
   // run inline on the calling thread — required under the model checker,
   // whose scheduler cannot control pool threads.
   int max_parallel = 4;
   bool allow_covered = true;
-  // Sync-insert verification: per-server MultiGet batches (true) or the
-  // sequential per-hit reference path (false).
-  bool batched_repair = true;
   // Non-zero: merge this session's private entries into each page
   // (session consistency, Section 5.2). The merge can add entries beyond
   // page_entries/limit — a server-side limit would make the private-entry
@@ -98,9 +98,9 @@ class IndexScanner {
  public:
   // Next page of results; an empty page with exhausted()==true means the
   // range is done. Retries layout/availability errors internally; other
-  // errors (including armed query.merge failpoints) surface to the
-  // caller, leaving the cursor at the failed page's start so the same
-  // page can be retried.
+  // errors (including armed query.merge failpoints and Corruption for an
+  // undecodable index row) surface to the caller, leaving the cursor at
+  // the failed page's start so the same page can be retried.
   Status NextPage(ScanPage* page);
 
   bool exhausted() const { return exhausted_; }
@@ -113,15 +113,21 @@ class IndexScanner {
 
  private:
   friend class ReadEngine;
-  IndexScanner(ReadEngine* engine, const ScanSpec& spec,
-               const ScanOptions& options, const IndexDescriptor& index);
+  IndexScanner(ReadEngine* engine, ScanSpec spec, const ScanOptions& options,
+               IndexDescriptor index);
+
+  // The hits-only step shared by NextPage and ReadEngine::ReadHits:
+  // gather (with page retry), decode, sync-insert read-repair and the
+  // session merge, then advance the cursor. Adds the legs it issued to
+  // *legs.
+  Status NextHits(std::vector<IndexHit>* hits, uint64_t* legs);
 
   // One scatter-gather round: fans a leg out per index region overlapping
-  // [cursor_, end_key_), merges in region order into `out` (at most
-  // `budget` entries). truncated=false means the whole remaining range
-  // was consumed.
-  Status GatherOnce(uint32_t budget, std::vector<RawEntry>* out,
-                    bool* truncated);
+  // [cursor_, end_key_), each asking for at most `budget` entries (0 = no
+  // cap), and returns the leg responses in region order. Adds the legs it
+  // issued to *legs.
+  Status GatherOnce(uint32_t budget, std::vector<IndexScanResponse>* responses,
+                    uint64_t* legs);
 
   ReadEngine* const engine_;
   const ScanSpec spec_;
@@ -144,10 +150,17 @@ class ReadEngine {
 
   // Resolves the index and returns a scanner positioned at the range
   // start. Fails if the index does not exist or is local (local indexes
-  // keep their broadcast path — their entries live inside base regions,
-  // so region-addressed legs do not apply).
+  // keep their broadcast path in DiffIndexClient — their entries live
+  // inside base regions, so region-addressed legs do not apply).
   Status NewScan(const ScanSpec& spec, const ScanOptions& options,
                  std::unique_ptr<IndexScanner>* scanner);
+
+  // Verified hits of the whole of spec's range over the already-resolved
+  // global `index`, without row materialisation (spec.projection and
+  // options.allow_covered are ignored). Pages are not counted in
+  // query.pages/query.legs.
+  Status ReadHits(ScanSpec spec, const ScanOptions& options,
+                  IndexDescriptor index, std::vector<IndexHit>* hits);
 
   // Convenience: drives a scan to completion, concatenating every page.
   // hits may be null.

@@ -53,20 +53,22 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
     metrics->GetHistogram("query.repair.batch_size")->Add(keys.size());
   }
 
-  std::vector<IndexHit> verified;
-  verified.reserve(hits->size());
+  // Hits that survive are compacted to the front of *hits.
+  size_t kept = 0;
   std::vector<PutRequest> tombstones;
+  std::vector<std::string> components;
   size_t cursor = 0;
-  for (IndexHit& hit : *hits) {
-    std::vector<std::string> components;
+  for (size_t i = 0; i < hits->size(); i++) {
+    IndexHit& hit = (*hits)[i];
+    components.clear();
     bool missing = false;
     for (const auto& column : columns) {
-      const MultiGetEntry& entry = entries[cursor++];
+      MultiGetEntry& entry = entries[cursor++];
       if (!entry.found) {
         missing = true;
         continue;  // remaining columns were fetched anyway; skip them
       }
-      std::string component = entry.value;
+      std::string component;
       if (column == index.column) {
         Status s = IndexComponentFromCell(index, entry.value, &component);
         if (s.IsNotFound()) {
@@ -74,18 +76,20 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
           continue;
         }
         DIFFINDEX_RETURN_NOT_OK(s);
+      } else {
+        component = std::move(entry.value);
       }
       components.push_back(std::move(component));
     }
 
-    std::string current_encoded;
-    if (!missing) {
-      current_encoded = components.size() == 1
-                            ? components[0]
-                            : EncodeCompositeIndexValue(components);
-    }
-    if (!missing && current_encoded == hit.value_encoded) {
-      verified.push_back(std::move(hit));
+    const bool live =
+        !missing && (components.size() == 1
+                         ? components[0] == hit.value_encoded
+                         : EncodeCompositeIndexValue(components) ==
+                               hit.value_encoded);
+    if (live) {
+      if (kept != i) (*hits)[kept] = std::move(hit);
+      kept++;
       continue;
     }
     if (metrics != nullptr) {
@@ -102,73 +106,11 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
 
   if (!tombstones.empty()) {
     CHECK_YIELD("query.repair");
-    // Best-effort, like the sequential path: a failed delete leaves the
-    // entry stale for a later read to repair.
+    // Best-effort: a failed delete leaves the entry stale for a later
+    // read to repair.
     client->MultiPutBatch(std::move(tombstones)).IgnoreError();
   }
-  *hits = std::move(verified);
-  return Status::OK();
-}
-
-Status SequentialRepairHits(Client* client, OpStats* stats,
-                            const std::string& base_table,
-                            const IndexDescriptor& index,
-                            std::vector<IndexHit>* hits) {
-  if (hits->empty()) return Status::OK();
-  obs::MetricsRegistry* metrics = client->metrics();
-  obs::SpanTimer span(metrics, client->traces(), "query.repair");
-
-  const std::vector<std::string> columns = VerificationColumns(index);
-  std::vector<IndexHit> verified;
-  verified.reserve(hits->size());
-  for (IndexHit& hit : *hits) {
-    if (metrics != nullptr) {
-      metrics->GetCounter("query.repair.checked")->Add();
-    }
-    std::vector<std::string> components;
-    bool missing = false;
-    for (const auto& column : columns) {
-      std::string value;
-      if (stats != nullptr) stats->AddBaseRead();
-      if (metrics != nullptr) metrics->GetCounter("query.base_reads")->Add();
-      Status s =
-          client->GetCell(base_table, hit.base_row, column, kMaxTimestamp,
-                          &value);
-      if (s.ok() && column == index.column) {
-        std::string component;
-        s = IndexComponentFromCell(index, value, &component);
-        value = std::move(component);
-      }
-      if (s.IsNotFound()) {
-        missing = true;
-        break;
-      }
-      DIFFINDEX_RETURN_NOT_OK(s);
-      components.push_back(std::move(value));
-    }
-
-    std::string current_encoded;
-    if (!missing) {
-      current_encoded = components.size() == 1
-                            ? components[0]
-                            : EncodeCompositeIndexValue(components);
-    }
-    if (!missing && current_encoded == hit.value_encoded) {
-      verified.push_back(std::move(hit));
-      continue;
-    }
-    if (metrics != nullptr) {
-      metrics->GetCounter("query.repair.deleted")->Add();
-    }
-    if (stats != nullptr) stats->AddIndexPut();
-    // Best-effort, like the batched path above: a failed delete leaves
-    // the stale entry for a later read to repair.
-    client
-        ->Put(index.index_table, EncodeIndexRow(hit.value_encoded, hit.base_row),
-              {Cell{"", "", /*is_delete=*/true}}, hit.ts)
-        .IgnoreError();
-  }
-  *hits = std::move(verified);
+  hits->resize(kept);
   return Status::OK();
 }
 

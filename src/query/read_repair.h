@@ -1,19 +1,14 @@
-// Read-repair for sync-insert index scans (Algorithm 2's
-// double-check-and-clean), in two flavors:
+// Read-repair for sync-insert index reads: Algorithm 2's
+// double-check-and-clean, the one implementation every index read runs.
 //
-//   SequentialRepairHits — the reference: one GetCell round trip per
-//     (hit, column), exactly mirroring IndexReader::RepairHits.
-//   BatchedRepairHits — the query engine's path: all verification reads
-//     of a page grouped into per-server MultiGet batches (one RPC per
-//     base region instead of K round trips), and all stale-entry
-//     tombstones shipped as one MultiPutBatch.
-//
-// Both classify identically: a hit survives iff its base row still
-// carries the indexed value the entry advertises; stale entries are
-// removed from `hits` and best-effort deleted from the index table at
-// the entry's own timestamp (a tombstone there cannot mask any newer
-// entry). The only difference is RPC count — proven byte-identical by
-// tests/query/read_equivalence_test.cc.
+// All verification reads of a page are grouped into per-server MultiGet
+// batches (one RPC per base server instead of K round trips), and all
+// stale-entry tombstones ship as one MultiPutBatch. A hit survives iff
+// its base row still carries the indexed value the entry advertises;
+// stale entries are removed from `hits` and best-effort deleted from the
+// index table at the entry's own timestamp (a tombstone there cannot
+// mask any newer entry). Table-2 accounting stays exact: K checks of an
+// n-column index are K*n base reads, however they travel.
 
 #ifndef DIFFINDEX_QUERY_READ_REPAIR_H_
 #define DIFFINDEX_QUERY_READ_REPAIR_H_
@@ -22,7 +17,7 @@
 #include <vector>
 
 #include "cluster/client.h"
-#include "core/index_read.h"
+#include "core/index_codec.h"
 #include "core/op_stats.h"
 
 namespace diffindex {
@@ -35,14 +30,6 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
                          const std::string& base_table,
                          const IndexDescriptor& index,
                          std::vector<IndexHit>* hits);
-
-// Unbatched reference with the same metrics: one GetCell per (hit,
-// column), early-out on the first missing column, one Put per stale
-// entry — the RPC profile of IndexReader::RepairHits.
-Status SequentialRepairHits(Client* client, OpStats* stats,
-                            const std::string& base_table,
-                            const IndexDescriptor& index,
-                            std::vector<IndexHit>* hits);
 
 }  // namespace diffindex
 

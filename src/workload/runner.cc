@@ -230,7 +230,6 @@ Status WorkloadRunner::ExecuteOneOp(WorkloadOp op, uint64_t id,
       scan.page_entries = options.scan_page_entries;
       scan.max_parallel = options.scan_parallel;
       scan.allow_covered = options.scan_covered;
-      scan.batched_repair = options.scan_batched_repair;
       std::vector<ScannedRow> rows;
       return engine->ScanByIndex(spec, scan, &rows);
     }

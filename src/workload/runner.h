@@ -71,7 +71,6 @@ struct RunnerOptions {
   uint32_t scan_page_entries = 128;
   int scan_parallel = 4;
   bool scan_covered = false;
-  bool scan_batched_repair = true;
   // Rows per kScanTableRange scan.
   uint32_t scan_rows = 64;
   uint64_t seed = 1;

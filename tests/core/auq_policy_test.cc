@@ -235,7 +235,7 @@ void RunPolicyWorkload(AuqOverflowPolicy policy, size_t max_depth,
     const std::string value = ValueName(v);
     IndexDescriptor found;
     ASSERT_TRUE(
-        client->reader()->FindIndex("items", "by_title", &found).ok());
+        client->FindIndex("items", "by_title", &found).ok());
     std::vector<ScannedRow> rows;
     ASSERT_TRUE(client->raw_client()
                     ->ScanRows(found.index_table,
@@ -400,7 +400,7 @@ TEST(ChaosTest, CrashMidShedConvergesAfterRecovery) {
     const std::string value = ValueName(v);
     IndexDescriptor found;
     ASSERT_TRUE(
-        client->reader()->FindIndex("items", "by_title", &found).ok());
+        client->FindIndex("items", "by_title", &found).ok());
     std::vector<ScannedRow> rows;
     ASSERT_TRUE(client->raw_client()
                     ->ScanRows(found.index_table,

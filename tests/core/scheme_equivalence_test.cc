@@ -121,7 +121,7 @@ IndexState RunWorkload(const RunConfig& config, uint64_t seed) {
     const std::string value = ValueName(v);
     IndexDescriptor found;
     EXPECT_TRUE(
-        client->reader()->FindIndex("items", "by_title", &found).ok());
+        client->FindIndex("items", "by_title", &found).ok());
     std::vector<ScannedRow> rows;
     EXPECT_TRUE(client->raw_client()
                     ->ScanRows(found.index_table,

@@ -71,7 +71,7 @@ class SchemesTest : public ::testing::Test {
                                      const std::string& value) {
     IndexDescriptor index;
     EXPECT_TRUE(
-        client_->reader()->FindIndex(table, index_name, &index).ok());
+        client_->FindIndex(table, index_name, &index).ok());
     std::vector<ScannedRow> rows;
     EXPECT_TRUE(client_->raw_client()
                     ->ScanRows(index.index_table,

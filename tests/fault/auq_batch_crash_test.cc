@@ -62,7 +62,7 @@ class AuqBatchCrashChaosTest : public ::testing::Test {
 
   std::set<std::string> RawIndexRows(const std::string& value) {
     IndexDescriptor index;
-    EXPECT_TRUE(client_->reader()->FindIndex("t", "by_c", &index).ok());
+    EXPECT_TRUE(client_->FindIndex("t", "by_c", &index).ok());
     std::vector<ScannedRow> rows;
     EXPECT_TRUE(client_->raw_client()
                     ->ScanRows(index.index_table,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unistd.h>
 
 #include "obs/metrics.h"
 #include "util/env.h"
@@ -15,6 +16,7 @@ class FaultEnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "fault_env_test_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this) & 0xffff);
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
   }

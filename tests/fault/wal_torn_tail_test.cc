@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -24,6 +25,7 @@ class WalTornTailTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "wal_torn_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this) & 0xffff);
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
   }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "lsm/memtable.h"
 #include "util/env.h"
 
@@ -16,6 +18,7 @@ class CompactionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "compaction_test_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     (void)Env::Default()->RemoveDirRecursively(dir_);
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());

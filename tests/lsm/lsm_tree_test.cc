@@ -8,6 +8,7 @@
 
 #include <map>
 #include <optional>
+#include <unistd.h>
 
 #include "util/random.h"
 
@@ -18,6 +19,7 @@ class LsmTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "lsm_test_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     (void)Env::Default()->RemoveDirRecursively(dir_);
     options_.memtable_flush_bytes = 16 << 10;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <unistd.h>
 
 #include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
@@ -17,6 +18,7 @@ class SstableTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "sst_test_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
     options_.block_size = 256;  // small blocks: exercise multi-block paths

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <unistd.h>
 
 #include "util/random.h"
 
@@ -13,6 +14,7 @@ class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "wal_test_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
     path_ = dir_ + "/wal.log";

@@ -1,20 +1,21 @@
-// Differential read-equivalence suite (DESIGN.md §13): the read engine's
-// scatter-gather/covered/batched-repair paths must be observationally
-// identical to the legacy sequential read path on the same final state —
-// same verified hits (row, value, ts), same materialized rows
-// (column/value/ts byte-identity) — under every maintenance scheme, for
-// the same seeded workload. And for sync-insert, batched read-repair run
-// on one cluster must leave the raw index table in exactly the state
-// sequential repair leaves on a twin cluster that replayed the same
-// trace.
+// Differential read-equivalence suite (DESIGN.md §13): every index read
+// path — the engine's uncovered and covered scans, GetByIndex and
+// RangeByIndex — must return exactly the state the workload's model
+// predicts, under every maintenance scheme, for the same seeded
+// workload: the same hits (row, value, ts) and the same materialized
+// rows (column/value/ts). For sync-insert, read-repair must also leave
+// the raw index table holding exactly the model's entries.
 //
-// The workload writes the indexed column and the stored extra column in
-// one put per op: the covered path serves every projected cell at the
-// index entry's timestamp, so byte-identity (including ts) only holds —
-// and is only asserted — when the cells were written together.
+// The model tracks row -> current value. Timestamps come from the base
+// table: the workload writes the indexed column and the stored extra
+// column in one put per op, so by the §4.3 rule every live entry and
+// every projected cell carries that put's timestamp. The covered path
+// serves every projected cell at the index entry's timestamp, so this is
+// also what makes its rows byte-identical (including ts).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
@@ -48,15 +49,20 @@ std::string RowName(Random* rng) {
   return buf;
 }
 
+std::string NoteFor(const std::string& row, const std::string& value) {
+  return "n-" + row + "-" + value;
+}
+
 struct TestCluster {
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<DiffIndexClient> client;
   IndexDescriptor index;
+  std::map<std::string, std::string> model;  // row -> current value
 };
 
 // Builds a cluster and replays the seed's op trace: indexed puts
 // (title + note in ONE put), same-value overwrites, deletes, occasional
-// flushes. The trace depends only on the seed.
+// flushes. The trace, and so tc->model, depends only on the seed.
 void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
   ClusterOptions options;
   options.num_servers = 3;
@@ -72,10 +78,10 @@ void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
   ASSERT_TRUE(tc->cluster->master()->CreateIndex(kTable, index).ok());
   ASSERT_TRUE(tc->client->raw_client()->RefreshLayout().ok());
   ASSERT_TRUE(
-      tc->client->reader()->FindIndex(kTable, kIndex, &tc->index).ok());
+      tc->client->FindIndex(kTable, kIndex, &tc->index).ok());
 
   Random rng(static_cast<uint32_t>(seed));
-  std::map<std::string, std::string> model;  // row -> current value
+  std::map<std::string, std::string>& model = tc->model;
   for (int i = 0; i < kOpsPerRun; i++) {
     const std::string row = RowName(&rng);
     const uint32_t dice = rng.Uniform(10);
@@ -92,7 +98,7 @@ void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
       ASSERT_TRUE(tc->client
                       ->Put(kTable, row,
                             {Cell{kColumn, value, false},
-                             Cell{kExtra, "n-" + row + "-" + value, false}})
+                             Cell{kExtra, NoteFor(row, value), false}})
                       .ok());
       model[row] = value;
     }
@@ -102,7 +108,7 @@ void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
   }
 
   // Async schemes: wait for the AUQ to deliver everything so the read
-  // paths compare against a settled index.
+  // paths read a settled index.
   for (int i = 0; i < 5000; i++) {
     bool all_empty = true;
     for (NodeId id : tc->cluster->server_ids()) {
@@ -113,6 +119,50 @@ void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
     }
     if (all_empty) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// What every read path must return, from the model: one hit per live
+// row in (encoded value, row) order, and that row's {note, title} cells
+// in column order. Every timestamp is the row's last put, read from the
+// base table.
+void ModelExpectation(TestCluster* tc, std::vector<IndexHit>* hits,
+                      std::vector<ScannedRow>* rows) {
+  hits->clear();
+  rows->clear();
+  for (const auto& [row, value] : tc->model) {
+    GetRowResponse resp;
+    ASSERT_TRUE(tc->client->raw_client()
+                    ->GetRow(kTable, row, kMaxTimestamp, &resp)
+                    .ok());
+    ASSERT_TRUE(resp.found) << row;
+    Timestamp ts = 0;
+    for (const RowCell& cell : resp.cells) {
+      if (cell.column == kColumn) ts = cell.ts;
+    }
+    ASSERT_NE(ts, 0u) << row;
+    IndexHit hit;
+    hit.base_row = row;
+    hit.value_encoded =
+        EncodeCompositeIndexValue({value, NoteFor(row, value)});
+    hit.ts = ts;
+    hits->push_back(std::move(hit));
+  }
+  std::sort(hits->begin(), hits->end(),
+            [](const IndexHit& a, const IndexHit& b) {
+              if (a.value_encoded != b.value_encoded) {
+                return a.value_encoded < b.value_encoded;
+              }
+              return a.base_row < b.base_row;
+            });
+  for (const IndexHit& hit : *hits) {
+    const std::string& value = tc->model[hit.base_row];
+    ScannedRow row;
+    row.row = hit.base_row;
+    row.cells.push_back(
+        RowCell{kExtra, NoteFor(hit.base_row, value), hit.ts});
+    row.cells.push_back(RowCell{kColumn, value, hit.ts});
+    rows->push_back(std::move(row));
   }
 }
 
@@ -148,29 +198,6 @@ void ExpectSameRows(const std::vector<ScannedRow>& got,
   }
 }
 
-// The sequential reference: RangeByIndex (scheme-dispatched, repairs for
-// sync-insert) + one GetRow per hit, projected to {note, title} in
-// column order.
-void SequentialReadPath(TestCluster* tc, std::vector<IndexHit>* hits,
-                        std::vector<ScannedRow>* rows) {
-  ASSERT_TRUE(
-      tc->client->RangeByIndex(kTable, kIndex, "", "", 0, hits).ok());
-  rows->clear();
-  for (const IndexHit& hit : *hits) {
-    GetRowResponse resp;
-    ASSERT_TRUE(tc->client->GetRow(kTable, hit.base_row, &resp).ok());
-    if (!resp.found) continue;
-    ScannedRow row;
-    row.row = hit.base_row;
-    for (const RowCell& cell : resp.cells) {
-      if (cell.column == kColumn || cell.column == kExtra) {
-        row.cells.push_back(cell);
-      }
-    }
-    rows->push_back(std::move(row));
-  }
-}
-
 std::set<std::pair<std::string, std::string>> RawIndexState(
     TestCluster* tc) {
   std::vector<ScannedRow> raw;
@@ -189,8 +216,8 @@ std::set<std::pair<std::string, std::string>> RawIndexState(
 
 class ReadEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-// All engine read paths — uncovered+batched, uncovered+sequential-repair,
-// covered — agree byte-for-byte with the legacy sequential path, on the
+// Every read path — RangeByIndex, GetByIndex per value, the engine's
+// uncovered and covered scans — returns exactly the model's state on the
 // same settled cluster, under every scheme.
 TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
   const uint64_t seed = 0x5CA11ED0ULL + static_cast<uint64_t>(GetParam());
@@ -201,12 +228,24 @@ TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
     TestCluster tc;
     RunWorkload(scheme, seed, &tc);
 
-    std::vector<IndexHit> ref_hits;
-    std::vector<ScannedRow> ref_rows;
-    SequentialReadPath(&tc, &ref_hits, &ref_rows);
-    ASSERT_FALSE(ref_hits.empty());
+    std::vector<IndexHit> want_hits;
+    std::vector<ScannedRow> want_rows;
+    ModelExpectation(&tc, &want_hits, &want_rows);
+    ASSERT_FALSE(want_hits.empty());
 
-    ReadEngine engine(tc.client.get());
+    std::vector<IndexHit> hits;
+    ASSERT_TRUE(
+        tc.client->RangeByIndex(kTable, kIndex, "", "", 0, &hits).ok());
+    ExpectSameHits(hits, want_hits, "RangeByIndex");
+
+    for (const IndexHit& want : want_hits) {
+      ASSERT_TRUE(tc.client
+                      ->GetByIndex(kTable, kIndex, want.value_encoded, &hits)
+                      .ok());
+      ExpectSameHits(hits, {want}, "GetByIndex");
+    }
+
+    ReadEngine* engine = tc.client->read_engine();
     ScanSpec spec;
     spec.table = kTable;
     spec.index_name = kIndex;
@@ -216,69 +255,47 @@ TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
     uncovered.allow_covered = false;
     uncovered.page_entries = 5;  // force multiple pages
     std::vector<ScannedRow> rows;
-    std::vector<IndexHit> hits;
-    ASSERT_TRUE(engine.ScanByIndex(spec, uncovered, &rows, &hits).ok());
-    ExpectSameHits(hits, ref_hits, "uncovered+batched");
-    ExpectSameRows(rows, ref_rows, "uncovered+batched");
-
-    ScanOptions seq_repair = uncovered;
-    seq_repair.batched_repair = false;
-    ASSERT_TRUE(engine.ScanByIndex(spec, seq_repair, &rows, &hits).ok());
-    ExpectSameHits(hits, ref_hits, "uncovered+seq-repair");
-    ExpectSameRows(rows, ref_rows, "uncovered+seq-repair");
+    ASSERT_TRUE(engine->ScanByIndex(spec, uncovered, &rows, &hits).ok());
+    ExpectSameHits(hits, want_hits, "uncovered");
+    ExpectSameRows(rows, want_rows, "uncovered");
 
     ScanOptions covered;
     covered.page_entries = 5;
-    ASSERT_TRUE(engine.ScanByIndex(spec, covered, &rows, &hits).ok());
-    ExpectSameHits(hits, ref_hits, "covered");
-    ExpectSameRows(rows, ref_rows, "covered");
+    ASSERT_TRUE(engine->ScanByIndex(spec, covered, &rows, &hits).ok());
+    ExpectSameHits(hits, want_hits, "covered");
+    ExpectSameRows(rows, want_rows, "covered");
   }
 }
 
-// Twin clusters replay the same sync-insert trace; one is read through
-// the sequential repair path, the other through the engine's batched
-// repair. Both must report the same verified entries and both must leave
-// the raw index table in the same (fully repaired) state.
+// Sync-insert leaves stale entries behind by design; one paged engine
+// scan with batched repair must report exactly the model's entries and
+// leave the raw index table holding exactly those entries.
 TEST_P(ReadEquivalenceTest, BatchedRepairConvergesLikeSequential) {
   const uint64_t seed = 0xBA7C4EDULL + static_cast<uint64_t>(GetParam());
 
-  TestCluster sequential;
-  RunWorkload(IndexScheme::kSyncInsert, seed, &sequential);
-  std::vector<IndexHit> seq_hits;
-  ASSERT_TRUE(sequential.client
-                  ->RangeByIndex(kTable, kIndex, "", "", 0, &seq_hits)
-                  .ok());
+  TestCluster tc;
+  RunWorkload(IndexScheme::kSyncInsert, seed, &tc);
+  std::vector<IndexHit> want_hits;
+  std::vector<ScannedRow> want_rows;
+  ModelExpectation(&tc, &want_hits, &want_rows);
+  std::set<std::pair<std::string, std::string>> model_set;
+  for (const IndexHit& hit : want_hits) {
+    model_set.emplace(hit.value_encoded, hit.base_row);
+  }
 
-  TestCluster batched;
-  RunWorkload(IndexScheme::kSyncInsert, seed, &batched);
-  ReadEngine engine(batched.client.get());
   ScanSpec spec;
   spec.table = kTable;
   spec.index_name = kIndex;
   ScanOptions options;
   options.page_entries = 7;
-  options.batched_repair = true;
   std::vector<ScannedRow> rows;
-  std::vector<IndexHit> bat_hits;
-  ASSERT_TRUE(engine.ScanByIndex(spec, options, &rows, &bat_hits).ok());
+  std::vector<IndexHit> hits;
+  ASSERT_TRUE(
+      tc.client->read_engine()->ScanByIndex(spec, options, &rows, &hits).ok());
+  ExpectSameHits(hits, want_hits, "batched");
 
-  // Same verified entries (timestamps are cluster-local; compare the
-  // (value, row) sets, which are deterministic functions of the trace).
-  std::set<std::pair<std::string, std::string>> seq_set, bat_set;
-  for (const IndexHit& hit : seq_hits) {
-    seq_set.emplace(hit.value_encoded, hit.base_row);
-  }
-  for (const IndexHit& hit : bat_hits) {
-    bat_set.emplace(hit.value_encoded, hit.base_row);
-  }
-  EXPECT_EQ(bat_set, seq_set);
-
-  // Both repair styles deleted the same stale entries: the raw index
-  // keyspaces are identical and contain exactly the verified entries.
-  const auto seq_state = RawIndexState(&sequential);
-  const auto bat_state = RawIndexState(&batched);
-  EXPECT_EQ(bat_state, seq_state);
-  EXPECT_EQ(bat_state, bat_set);
+  // Repair deleted every stale entry and nothing else.
+  EXPECT_EQ(RawIndexState(&tc), model_set);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReadEquivalenceTest, ::testing::Range(0, 4));

@@ -1,8 +1,9 @@
 // Read-engine scan tests (DESIGN.md §13): paged scatter-gather index
-// range scans checked against the legacy single-walker read path
-// (IndexReader::RangeByIndex), cursor resumability across scanner
-// instances, covered projections (zero base reads), batched read-repair
-// for sync-insert, and fault handling at the merge seam and on the wire.
+// range scans checked against the fixture's ground truth (the rows it
+// wrote), cursor resumability across scanner instances, covered
+// projections (zero base reads), batched read-repair for sync-insert and
+// its deterministic RPC cost, Corruption on undecodable index rows, and
+// fault handling at the merge seam and on the wire.
 //
 // Indexed values here are plain hex-prefixed strings: they contain no
 // 0x00/0x01 bytes, so the codec escape leaves them untouched and the
@@ -51,7 +52,7 @@ class ScanByIndexTest : public ::testing::Test {
     ASSERT_TRUE(cluster_->master()->CreateIndex(kTable, index).ok());
     ASSERT_TRUE(client_->raw_client()->RefreshLayout().ok());
     ASSERT_TRUE(
-        client_->reader()->FindIndex(kTable, kIndex, &index_).ok());
+        client_->FindIndex(kTable, kIndex, &index_).ok());
   }
 
   static std::string RowName(int i) {
@@ -80,16 +81,57 @@ class ScanByIndexTest : public ::testing::Test {
       }
       ASSERT_TRUE(client_->Put(kTable, RowName(i), std::move(cells)).ok())
           << RowName(i);
+      truth_[RowName(i)] = ValName(i);
     }
   }
 
+  // The hits a correct read of values [lo, hi) returns, from the ground
+  // truth: (value, row) order, the first `limit` only (0 = all). Each
+  // carries its row's put timestamp, read from the base table — by the
+  // §4.3 rule an entry has the timestamp of the cell it indexes.
   std::vector<IndexHit> Reference(const std::string& lo,
                                   const std::string& hi,
                                   uint32_t limit = 0) {
     std::vector<IndexHit> hits;
-    EXPECT_TRUE(
-        client_->RangeByIndex(kTable, kIndex, lo, hi, limit, &hits).ok());
+    for (const auto& [row, value] : truth_) {
+      if (value < lo || (!hi.empty() && value >= hi)) continue;
+      GetRowResponse resp;
+      EXPECT_TRUE(client_->raw_client()
+                      ->GetRow(kTable, row, kMaxTimestamp, &resp)
+                      .ok());
+      IndexHit hit;
+      hit.base_row = row;
+      hit.value_encoded = value;
+      for (const RowCell& cell : resp.cells) {
+        if (cell.column == kColumn) hit.ts = cell.ts;
+      }
+      hits.push_back(std::move(hit));
+    }
+    std::sort(hits.begin(), hits.end(),
+              [](const IndexHit& a, const IndexHit& b) {
+                if (a.value_encoded != b.value_encoded) {
+                  return a.value_encoded < b.value_encoded;
+                }
+                return a.base_row < b.base_row;
+              });
+    if (limit != 0 && hits.size() > limit) hits.resize(limit);
     return hits;
+  }
+
+  // The raw index keyspace as decoded (value, row) pairs.
+  std::set<std::pair<std::string, std::string>> RawIndexState() {
+    std::vector<ScannedRow> raw;
+    EXPECT_TRUE(client_->raw_client()
+                    ->ScanRows(index_.index_table, "", "", kMaxTimestamp, 0,
+                               &raw)
+                    .ok());
+    std::set<std::pair<std::string, std::string>> state;
+    for (const ScannedRow& entry : raw) {
+      std::string value, row;
+      EXPECT_TRUE(DecodeIndexRow(entry.row, &value, &row)) << entry.row;
+      state.emplace(value, row);
+    }
+    return state;
   }
 
   static void ExpectSameHits(const std::vector<IndexHit>& got,
@@ -116,12 +158,12 @@ class ScanByIndexTest : public ::testing::Test {
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<DiffIndexClient> client_;
   IndexDescriptor index_;
+  std::map<std::string, std::string> truth_;  // row -> value LoadRows wrote
 };
 
-// The scatter-gather engine and the sequential single-walker path are
-// observationally identical: same hits, same order, same timestamps —
-// full range and bounded sub-range (the bounds cut across index-table
-// region boundaries).
+// The scatter-gather engine returns exactly the ground truth: same hits,
+// same order, same timestamps — full range and bounded sub-range (the
+// bounds cut across index-table region boundaries).
 TEST_F(ScanByIndexTest, ScatterGatherMatchesSequentialReference) {
   Setup(IndexScheme::kSyncFull);
   LoadRows(80);
@@ -162,7 +204,7 @@ TEST_F(ScanByIndexTest, ScatterGatherMatchesSequentialReference) {
 }
 
 // Small pages: the cursor walks the range in page_entries steps and the
-// concatenation of pages equals the one-shot reference. A cursor token
+// concatenation of pages equals the ground truth. A cursor token
 // persisted mid-scan resumes an entirely fresh scanner at exactly the
 // next entry.
 TEST_F(ScanByIndexTest, PagedCursorResumesAcrossScannerInstances) {
@@ -413,7 +455,6 @@ TEST_F(ScanByIndexTest, BatchedRepairFiltersAndDeletesStaleEntries) {
   ReadEngine engine(client_.get());
   ScanOptions options;
   options.page_entries = 7;  // repair runs per page
-  options.batched_repair = true;
   std::vector<ScannedRow> rows;
   std::vector<IndexHit> hits;
   ASSERT_TRUE(engine.ScanByIndex(Spec(), options, &rows,
@@ -432,20 +473,70 @@ TEST_F(ScanByIndexTest, BatchedRepairFiltersAndDeletesStaleEntries) {
   EXPECT_EQ(CounterValue("query.repair.deleted") - deleted_before, 10u);
 
   // The stale entries are gone from the raw index keyspace.
-  std::vector<ScannedRow> raw;
-  ASSERT_TRUE(client_->raw_client()
-                  ->ScanRows(index_.index_table, "", "", kMaxTimestamp, 0,
-                             &raw)
-                  .ok());
-  std::set<std::pair<std::string, std::string>> remaining;
-  for (const ScannedRow& entry : raw) {
-    std::string value, row;
-    ASSERT_TRUE(DecodeIndexRow(entry.row, &value, &row)) << entry.row;
-    remaining.emplace(value, row);
-  }
   const std::set<std::pair<std::string, std::string>> expected_set(
       expected.begin(), expected.end());
-  EXPECT_EQ(remaining, expected_set);
+  EXPECT_EQ(RawIndexState(), expected_set);
+}
+
+// Table-2 cost of a sync-insert RangeByIndex, on deterministic counters:
+// its K stale and live hits are checked with one MultiGet per base server
+// (the client's index reads run one page over the whole range) and no
+// per-hit GetCell, the K checks still count as K base reads, and the
+// stale entries are deleted.
+TEST_F(ScanByIndexTest, SyncInsertRangeByIndexBatchesRepairPerServer) {
+  Setup(IndexScheme::kSyncInsert);
+  LoadRows(30);
+  for (int i = 0; i < 30; i += 3) {  // 10 stale entries
+    ASSERT_TRUE(
+        client_->PutColumn(kTable, RowName(i), kColumn, ValName(100 + i))
+            .ok());
+    truth_[RowName(i)] = ValName(100 + i);
+  }
+  const uint64_t k = 40;  // 30 live + 10 stale entries in the index
+  const uint64_t servers = cluster_->server_ids().size();
+  ASSERT_EQ(servers, 3u);
+
+  const uint64_t get_cell_before = CounterValue("rpc.get_cell.calls");
+  const uint64_t multi_get_before = CounterValue("rpc.multi_get.calls");
+  const OpStats::Snapshot before = cluster_->stats()->snapshot();
+  std::vector<IndexHit> hits;
+  ASSERT_TRUE(client_->RangeByIndex(kTable, kIndex, "", "", 0, &hits).ok());
+  const OpStats::Snapshot after = cluster_->stats()->snapshot();
+
+  EXPECT_EQ(CounterValue("rpc.get_cell.calls") - get_cell_before, 0u);
+  EXPECT_LE(CounterValue("rpc.multi_get.calls") - multi_get_before,
+            servers * 1);  // servers x pages, one page
+  EXPECT_EQ(after.base_read - before.base_read, k);
+  EXPECT_EQ(after.index_read - before.index_read, 1u);
+  ExpectSameHits(hits, Reference("", ""));
+
+  std::set<std::pair<std::string, std::string>> live;
+  for (const auto& [row, value] : truth_) live.emplace(value, row);
+  EXPECT_EQ(RawIndexState(), live);
+}
+
+// An index row that does not decode (here: no value/row terminator) is
+// Corruption on every read path whose range covers it — never silently
+// dropped. Ranges that do not cover it still read normally.
+TEST_F(ScanByIndexTest, MalformedIndexRowIsCorruptionOnEveryPath) {
+  Setup(IndexScheme::kSyncFull);
+  LoadRows(20);
+  const std::string bad = "41-bad";  // no 0x00/0x01: escapes to itself
+  ASSERT_TRUE(client_->raw_client()
+                  ->Put(index_.index_table, bad, {Cell{"", "", false}})
+                  .ok());
+
+  std::vector<IndexHit> hits;
+  Status s = client_->GetByIndex(kTable, kIndex, bad, &hits);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = client_->RangeByIndex(kTable, kIndex, "", "", 0, &hits);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  std::vector<ScannedRow> rows;
+  s = client_->read_engine()->ScanByIndex(Spec(), ScanOptions(), &rows);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  ASSERT_TRUE(client_->RangeByIndex(kTable, kIndex, "80", "", 0, &hits).ok());
+  ExpectSameHits(hits, Reference("80", ""));
 }
 
 // limit counts scanned index entries across pages (the RangeByIndex

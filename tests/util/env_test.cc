@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unistd.h>
 
 namespace diffindex {
 namespace {
@@ -11,6 +12,7 @@ class EnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "env_test_" +
+           std::to_string(getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     (void)Env::Default()->RemoveDirRecursively(dir_);
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
