@@ -31,14 +31,15 @@
 //
 // The scheduler itself uses raw std primitives (not util/mutex.h): the
 // instrumented wrappers call back into it, so using them here would
-// recurse. NOLINTFILE(diffindex-raw-mutex)
+// recurse. The analyzer's raw-mutex rule excludes this file and
+// scheduler.cc (tools/analyzer/rules.py, RAW_SYNC_HOMES).
 
 #ifndef DIFFINDEX_CHECK_SCHEDULER_H_
 #define DIFFINDEX_CHECK_SCHEDULER_H_
 
 #include <atomic>
-#include <condition_variable>  // NOLINT(diffindex-raw-mutex)
-#include <mutex>               // NOLINT(diffindex-raw-mutex)
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -191,8 +192,8 @@ class Scheduler {
   void ParkLocked(std::unique_lock<std::mutex>& lk, int id);
 
   const Options options_;
-  std::mutex mu_;               // NOLINT(diffindex-raw-mutex)
-  std::condition_variable cv_;  // NOLINT(diffindex-raw-mutex)
+  std::mutex mu_;
+  std::condition_variable cv_;
   std::atomic<bool> controlled_{true};
   std::vector<ThreadState> threads_;
   int current_ = -1;

@@ -10,7 +10,7 @@ Cluster::Cluster(const ClusterOptions& options)
 
 Status Cluster::Create(const ClusterOptions& options,
                        std::unique_ptr<Cluster>* cluster) {
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private-ctor factory
   std::unique_ptr<Cluster> c(new Cluster(options));
   DIFFINDEX_RETURN_NOT_OK(c->Init());
   *cluster = std::move(c);
@@ -86,9 +86,11 @@ Status Cluster::Init() {
 Status Cluster::StartServer(NodeId id, ServerBundle* bundle) {
   bundle->server = std::make_shared<RegionServer>(
       id, options_.data_root, fabric_.get(), options_.server);
-  DIFFINDEX_RETURN_NOT_OK(bundle->server->Start());
   // The coprocessors deliver index updates through an internal client
-  // whose fabric identity is the server itself.
+  // whose fabric identity is the server itself. The hooks go in before
+  // Start(): the fabric handler and heartbeat thread it starts read
+  // hooks_ unlocked, and a put arriving without them skips index
+  // maintenance.
   ClientOptions internal_opts = options_.client;
   internal_opts.metrics = &metrics_;
   internal_opts.traces = &traces_;
@@ -97,7 +99,7 @@ Status Cluster::StartServer(NodeId id, ServerBundle* bundle) {
   bundle->index_manager = std::make_unique<IndexManager>(
       bundle->server.get(), bundle->internal_client, &stats_, options_.auq);
   bundle->server->SetHooks(bundle->index_manager.get());
-  return Status::OK();
+  return bundle->server->Start();
 }
 
 Status Cluster::AddServer(NodeId id) {

@@ -25,7 +25,7 @@ Status Region::Open(const LsmOptions& options, const std::string& data_root,
   const std::string lidx_dir =
       LocalIndexDir(data_root, info.table, info.region_id);
   DIFFINDEX_RETURN_NOT_OK(options.env->RemoveDirRecursively(lidx_dir));
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private-ctor factory
   region->reset(new Region(info, std::move(tree), lidx_dir));
   return Status::OK();
 }

@@ -108,15 +108,13 @@ class Region {
   std::atomic<uint64_t> flush_started_micros_{0};
   // The global acquisition order starts here: gate before write_mu,
   // write_mu before the server's WAL locks (region_server.h has the full
-  // chain). The annotations feed the lock-order lint; the LockRank args
-  // arm the runtime validator. A sync-full observer may hold two
+  // chain). The LockRank args arm the runtime validator and feed the
+  // analyzer's lock-order-global rule. A sync-full observer may hold two
   // regions' gates SHARED at once (base put on one region, index base
   // read routed to another) — same-rank shared acquisitions of distinct
   // instances are the one waived edge (util/lock_order.h).
-  SharedMutex flush_gate_ ACQUIRED_BEFORE(write_mu_){LockRank::kFlushGate,
-                                                     "flush_gate_"};
-  Mutex write_mu_ ACQUIRED_BEFORE(wal_sync_mu_){LockRank::kWriteMu,
-                                                "write_mu_"};
+  SharedMutex flush_gate_{LockRank::kFlushGate, "flush_gate_"};
+  Mutex write_mu_{LockRank::kWriteMu, "write_mu_"};
 };
 
 }  // namespace diffindex

@@ -159,7 +159,8 @@ class RegionServer {
   void UpdateCatalog(CatalogSnapshot snapshot);
   CatalogSnapshot catalog() const;
 
-  // Must be set before any indexed put arrives; may be null (no indexes).
+  // Must be set before Start() (the fabric handler and the heartbeat
+  // thread read it unlocked); may be null (no indexes).
   void SetHooks(IndexMaintenanceHooks* hooks) { hooks_ = hooks; }
 
   // ---- Region lifecycle (control plane, called by the master) ----
@@ -361,12 +362,11 @@ class RegionServer {
   // self-contained: it copies the shared_ptr out and releases before the
   // caller touches any region lock.
   //
-  // The order is machine-checked twice: the ACQUIRED_BEFORE annotations
-  // below feed the `lock-order` lint rule (acquisition-graph cycle
-  // detection), and the LockRank constructor arguments arm the runtime
-  // validator (util/lock_order.h) in debug/TSan/DIFFINDEX_CHECK builds.
-  mutable SharedMutex regions_mu_ ACQUIRED_AFTER(wal_mu_){
-      LockRank::kRegionsMu, "regions_mu_"};
+  // The LockRank constructor arguments are the one declaration of this
+  // order: they arm the runtime validator (util/lock_order.h) in
+  // debug/TSan/DIFFINDEX_CHECK builds, and the analyzer's
+  // lock-order-global rule checks every call chain against them.
+  mutable SharedMutex regions_mu_{LockRank::kRegionsMu, "regions_mu_"};
   // key: (table, region_id)
   std::map<std::pair<std::string, uint64_t>, std::shared_ptr<Region>> regions_
       GUARDED_BY(regions_mu_);
@@ -378,8 +378,7 @@ class RegionServer {
   mutable Mutex catalog_mu_{LockRank::kLeaf, "catalog_mu_"};
   CatalogSnapshot catalog_ GUARDED_BY(catalog_mu_);
 
-  Mutex wal_mu_ ACQUIRED_BEFORE(regions_mu_)
-      ACQUIRED_AFTER(wal_sync_mu_){LockRank::kWalMu, "wal_mu_"};
+  Mutex wal_mu_{LockRank::kWalMu, "wal_mu_"};
   std::vector<WalFile> wal_files_
       GUARDED_BY(wal_mu_);  // open tail is wal_files_.back()
   uint64_t next_wal_file_seq_ GUARDED_BY(wal_mu_) = 1;
@@ -389,8 +388,7 @@ class RegionServer {
   // (the wal_appends_ count after the append), so "synced through ticket
   // T" means the first T appends are durable. Acquired between a region's
   // write_mu and wal_mu_ — see the lock-order comment above.
-  Mutex wal_sync_mu_ ACQUIRED_BEFORE(wal_mu_)
-      ACQUIRED_AFTER(write_mu_){LockRank::kWalSyncMu, "wal_sync_mu_"};
+  Mutex wal_sync_mu_{LockRank::kWalSyncMu, "wal_sync_mu_"};
   CondVar wal_sync_cv_;
   uint64_t synced_ticket_ GUARDED_BY(wal_sync_mu_) = 0;
   bool wal_sync_in_progress_ GUARDED_BY(wal_sync_mu_) = false;

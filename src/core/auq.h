@@ -196,9 +196,9 @@ class AsyncUpdateQueue {
   // Acquired under a region's flush gate only (PostApply's Enqueue and
   // PreFlush's Pause/WaitDrained run while the caller holds the gate);
   // never held across a call that takes another ranked lock. The
-  // ACQUIRED_AFTER + LockRank pair feeds the lock-order lint and the
-  // runtime validator (util/lock_order.h).
-  mutable Mutex mu_ ACQUIRED_AFTER(flush_gate_){LockRank::kAuqMu, "auq.mu_"};
+  // LockRank feeds the runtime validator (util/lock_order.h) and the
+  // analyzer's lock-order-global rule.
+  mutable Mutex mu_{LockRank::kAuqMu, "auq.mu_"};
   CondVar intake_cv_;   // waiting to enqueue (pause/full)
   CondVar work_cv_;     // workers waiting for tasks
   CondVar drained_cv_;  // flushers waiting for drain

@@ -41,7 +41,7 @@ FailpointPolicy FailpointPolicy::Crash(double prob, uint64_t seed) {
 }
 
 FailpointRegistry* FailpointRegistry::Global() {
-  // NOLINT(diffindex-naked-new): leaked singleton
+  // ANALYZER_WAIVE(naked-new): leaked singleton
   static FailpointRegistry* registry = new FailpointRegistry();
   return registry;
 }

@@ -37,7 +37,7 @@ std::string LsmTree::SstPath(uint64_t file_number) const {
 Status LsmTree::Open(const LsmOptions& options, const std::string& dir,
                      std::unique_ptr<LsmTree>* tree) {
   DIFFINDEX_RETURN_NOT_OK(options.env->CreateDirIfMissing(dir));
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private-ctor factory
   std::unique_ptr<LsmTree> t(new LsmTree(options, dir));
   t->mem_ = std::make_shared<MemTable>();
   DIFFINDEX_RETURN_NOT_OK(t->RecoverManifest());

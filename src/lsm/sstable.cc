@@ -136,7 +136,7 @@ Status SstBuilder::Finish(SstMeta* meta) {
 Status SstReader::Open(const LsmOptions& options, const std::string& path,
                        uint64_t file_number,
                        std::shared_ptr<SstReader>* reader) {
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private-ctor factory
   std::shared_ptr<SstReader> r(new SstReader(options, path, file_number));
   DIFFINDEX_RETURN_NOT_OK(
       options.env->NewRandomAccessFile(path, &r->file_));

@@ -306,8 +306,9 @@ Status ReadEngine::NewScan(const ScanSpec& spec, const ScanOptions& options,
     return Status::InvalidArgument(
         "scatter-gather scan requires a global index: " + spec.index_name);
   }
-  // make_unique cannot reach the private constructor.
-  scanner->reset(new IndexScanner(this, spec, options, std::move(index)));  // NOLINT(diffindex-naked-new)
+  // ANALYZER_WAIVE(naked-new): private-ctor factory; make_unique cannot
+  // reach the private constructor.
+  scanner->reset(new IndexScanner(this, spec, options, std::move(index)));
   return Status::OK();
 }
 

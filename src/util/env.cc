@@ -234,7 +234,8 @@ class PosixEnv final : public Env {
 
 Env* Env::Default() {
   // Never destroyed: avoids shutdown-order problems per the style guide.
-  static Env* env = new PosixEnv();  // NOLINT(diffindex-naked-new)
+  // ANALYZER_WAIVE(naked-new): leaked process singleton
+  static Env* env = new PosixEnv();
   return env;
 }
 

@@ -50,8 +50,8 @@ void ReportViolation(const HeldLock& prior, LockRank rank, bool shared,
   char report[512];
   std::snprintf(report, sizeof(report),
                 "lock-order violation: acquiring %s (rank %d%s) while "
-                "holding %s (rank %d%s); the declared global order "
-                "(ACQUIRED_BEFORE annotations, DESIGN.md §12) requires "
+                "holding %s (rank %d%s); the global order (the LockRank "
+                "ladder in util/lock_order.h, DESIGN.md §12.7) requires "
                 "strictly increasing ranks\n",
                 name, static_cast<int>(rank), shared ? ", shared" : "",
                 prior.name, static_cast<int>(prior.rank),

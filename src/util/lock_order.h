@@ -1,6 +1,6 @@
-// Runtime lock-order validator: the dynamic mirror of the textual
-// ACQUIRED_BEFORE annotations (util/thread_annotations.h) and the static
-// `lock-order` lint rule (tools/lint/diffindex_lint.py).
+// Runtime lock-order validator: the dynamic twin of the analyzer's static
+// `lock-order-global` rule (tools/analyzer). Both read the one
+// declaration of the global order, the LockRank ladder below.
 //
 // Every Mutex/SharedMutex can be constructed with a LockRank. Ranked
 // locks participate in the global acquisition order; unranked locks
@@ -15,7 +15,7 @@
 // call compiles to nothing.
 //
 // The declared global order (see cluster/region_server.h and the
-// ACQUIRED_BEFORE annotations at each lock's declaration):
+// LockRank argument at each lock's declaration):
 //
 //   flush_gate (Region)            rank 10
 //   write_mu   (Region)            rank 20
@@ -30,8 +30,8 @@
 // a base row on region A while the triggering put still holds region B's
 // gate shared. Shared acquisitions of a shared-only capability cannot
 // deadlock against each other, so the validator permits same-rank
-// shared+shared on distinct instances and the lint carries the matching
-// NOLINT(diffindex-lock-order) waiver.
+// shared+shared on distinct instances, and lock-order-global permits
+// the same edge.
 
 #ifndef DIFFINDEX_UTIL_LOCK_ORDER_H_
 #define DIFFINDEX_UTIL_LOCK_ORDER_H_

@@ -4,7 +4,7 @@
 // port::CondVar and abseil's Mutex.
 //
 // All of src/ uses these instead of raw std::mutex & friends (enforced by
-// the `raw-mutex` rule of tools/lint/diffindex_lint.py) so that the clang
+// the analyzer's `raw-mutex` rule, tools/analyzer) so that the clang
 // -Wthread-safety build can see every acquisition:
 //
 //   Mutex mu_;

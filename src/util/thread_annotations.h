@@ -15,8 +15,10 @@
 //     std::deque<Task> tasks_ GUARDED_BY(mu_);
 //   };
 //
-// The lint rule `raw-mutex` (tools/lint/diffindex_lint.py) keeps all of
-// src/ on the annotated wrappers so the analysis sees every lock.
+// The analyzer rule `raw-mutex` (tools/analyzer) keeps all of src/ on
+// the annotated wrappers so the analysis sees every lock. The global
+// acquisition order is not an annotation: it is the LockRank each lock
+// is constructed with (util/lock_order.h).
 
 #ifndef DIFFINDEX_UTIL_THREAD_ANNOTATIONS_H_
 #define DIFFINDEX_UTIL_THREAD_ANNOTATIONS_H_
@@ -87,21 +89,5 @@
 // comment saying why.
 #define NO_THREAD_SAFETY_ANALYSIS \
   DIFFINDEX_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
-
-// On a lock member: declares the global acquisition order. A lock
-// annotated ACQUIRED_BEFORE(m) must always be taken before `m` when both
-// are held; ACQUIRED_AFTER is the mirror image. These deliberately expand
-// to NOTHING even under clang: the upstream acquired_before/after
-// attributes require the argument to name-resolve in situ, which rules
-// out the cross-class references we need (e.g. a Region lock ordered
-// against a RegionServer lock). Instead the annotations are consumed
-// textually by the `lock-order` rule in tools/lint/diffindex_lint.py,
-// which builds the acquisition graph and fails CI on cycles, and they are
-// mirrored at runtime by the LockRank checker in util/lock_order.h.
-// Arguments are free-form lock names (canonical form: trailing `_`,
-// `->`/`()`/`.` stripped by the linter — `write_mu()`, `write_mu_` and
-// `write_mu` all name the same lock).
-#define ACQUIRED_BEFORE(...)
-#define ACQUIRED_AFTER(...)
 
 #endif  // DIFFINDEX_UTIL_THREAD_ANNOTATIONS_H_

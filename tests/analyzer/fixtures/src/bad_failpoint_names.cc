@@ -1,6 +1,6 @@
-// Lint fixture: consults a failpoint that is not in the DESIGN.md
-// section 7 catalog. Expected: exactly one `failpoint-names` violation.
-// Not compiled; scanned by tests/lint/run_lint_fixtures.py.
+// Seeded failpoint-names violation: consults a failpoint that has no
+// row in the corpus DESIGN.md failpoint catalog. Both names are armed in
+// tests/armed_fixture_test.cc, so only the catalog rule fires.
 
 #include "fault/failpoint.h"
 

@@ -1,7 +1,7 @@
-// Lint fixture: .IgnoreError() with no adjacent rationale comment.
-// Expected: exactly one `ignore-error` violation — the commented forms
-// (trailing, line above, and multi-line statement) are all clean.
-// Not compiled.
+// Seeded ignore-error violations: .IgnoreError() with no adjacent
+// rationale comment (an empty trailing `//` does not count). The
+// commented forms (trailing, line above, and multi-line statement) are
+// all clean.
 
 namespace diffindex {
 

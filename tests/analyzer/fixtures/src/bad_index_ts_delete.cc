@@ -1,7 +1,7 @@
-// Lint fixture: DeleteIndexEntry called with the bare edit timestamp.
-// Section 4.3 requires old-entry deletes at `ts - kDelta` so a delete
-// never shadows the index entry of a concurrent re-insert at the same
-// ts. Expected: exactly one `index-ts` violation. Not compiled.
+// Seeded index-ts violation: DeleteIndexEntry called with the bare edit
+// timestamp. Section 4.3 requires old-entry deletes at `ts - kDelta` so
+// a delete never shadows the index entry of a concurrent re-insert at
+// the same ts.
 
 #include "core/observers.h"
 

@@ -1,7 +1,7 @@
-// Lint fixture: PutIndexEntry called with a shifted timestamp, breaking
-// the Section 4.3 ordering rule (index entries live at the base edit's
-// ts; only old-entry deletes are shifted down by kDelta). Expected:
-// exactly one `index-ts` violation. Not compiled.
+// Seeded index-ts violation: PutIndexEntry called with a shifted
+// timestamp, breaking the Section 4.3 ordering rule (index entries live
+// at the base edit's ts; only old-entry deletes are shifted down by
+// kDelta).
 
 #include "core/observers.h"
 

@@ -1,6 +1,6 @@
-// Lint fixture: creates an instrument whose name has no row in the
-// DESIGN.md section 6 metric names table. Expected: exactly one
-// `metric-names` violation. Not compiled.
+// Seeded metric-names violation: creates an instrument whose name has
+// no row in the corpus DESIGN.md metric names table. A fully dynamic
+// name has no literal to check and is skipped.
 
 #include "obs/metrics.h"
 

@@ -1,5 +1,5 @@
-// Lint fixture: a naked `new` without a NOLINT(diffindex-naked-new)
-// waiver. Expected: exactly one `naked-new` violation. Not compiled.
+// Seeded naked-new violation: the returned `new` carries no waiver; the
+// waived line and placement new beside it must not fire.
 
 namespace diffindex {
 
@@ -8,7 +8,7 @@ struct Widget {
 };
 
 Widget* FixtureNakedNew(char* mem) {
-  Widget* waived = new Widget();  // NOLINT(diffindex-naked-new)
+  Widget* waived = new Widget();  // ANALYZER_WAIVE(naked-new): caller owns it
   Widget* placed = new (mem) Widget();  // placement new: clean
   (void)waived;
   (void)placed;

@@ -1,7 +1,7 @@
-// Lint fixture: uses a raw std synchronization primitive instead of the
-// annotated wrappers in util/mutex.h. Expected: `raw-mutex` violations
-// only (the member, the lock_guard, and its template argument).
-// Not compiled.
+// Seeded raw-mutex violations: raw std synchronization primitives
+// instead of the annotated wrappers in util/mutex.h, invisible to
+// thread-safety analysis. The member, the lock_guard, and its template
+// argument all fire.
 
 #include <mutex>
 

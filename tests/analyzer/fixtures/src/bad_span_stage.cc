@@ -1,6 +1,6 @@
-// Lint fixture: opens a SpanTimer on a stage missing from the DESIGN.md
-// span-stage list. Expected: exactly one `metric-names` violation.
-// Not compiled.
+// Seeded metric-names violation: opens a SpanTimer on a stage missing
+// from the corpus DESIGN.md span-stage list; the documented stage beside
+// it is clean.
 
 #include "obs/trace.h"
 

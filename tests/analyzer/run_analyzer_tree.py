@@ -13,9 +13,9 @@ Five checks, registered together as the `analyzer_tree` ctest:
      every interprocedural rule's coverage.
   3. The deterministic lock-graph dump must match the golden snapshot
      (tests/analyzer/golden/lock_graph.txt). Any refactor that changes
-     the rank ladder, a declared ACQUIRED_BEFORE edge, or an observed
-     held->acquired nesting changes this text; review the diff, then
-     regenerate with `python3 tools/analyzer --dump-lock-graph`.
+     the LockRank ladder or an observed held->acquired nesting changes
+     this text; review the diff, then regenerate with
+     `python3 tools/analyzer --dump-lock-graph`.
   4. The durable-effect dump must match its golden
      (tests/analyzer/golden/effect_graph.txt) the same way; regenerate
      with `python3 tools/analyzer --dump-effect-graph`.

@@ -1,7 +1,7 @@
 // Runtime lock-order validator tests (util/lock_order.h): the dynamic
-// mirror of the ACQUIRED_BEFORE annotations and the static `lock-order`
-// lint rule. Installs a recording violation handler so ordering bugs can
-// be asserted on instead of aborting the process.
+// twin of the analyzer's static `lock-order-global` rule over the same
+// LockRank ladder. Installs a recording violation handler so ordering
+// bugs can be asserted on instead of aborting the process.
 
 #include "util/lock_order.h"
 

@@ -158,10 +158,10 @@ TEST_F(WalTornTailTest, RecoveryReplaysIntactPrefixAndReenqueues) {
   LatencyModel latency;
   Fabric fabric(&latency);
   RegionServerOptions options;
-  RegionServer server(7, dir_, &fabric, options);
-  ASSERT_TRUE(server.Start().ok());
   RecordingHooks hooks;
+  RegionServer server(7, dir_, &fabric, options);
   server.SetHooks(&hooks);
+  ASSERT_TRUE(server.Start().ok());
 
   RegionInfoWire info;
   info.table = "t";

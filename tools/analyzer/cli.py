@@ -10,6 +10,7 @@ this; each fixture is a self-contained translation unit). Otherwise the
 file set is every source under <root>/src and <root>/tests (fixture
 corpora excluded), cross-checked against compile_commands.json when
 present so a TU the build knows about is never silently skipped.
+The catalog rules read their tables from <root>/DESIGN.md.
 
 Exit status: 0 clean, 1 unwaived findings, 2 usage/config error.
 """
@@ -24,6 +25,7 @@ import model
 import report
 import rules as rules_mod
 import source
+import textual
 
 
 def default_root():
@@ -135,6 +137,14 @@ def main(argv=None):
         print("diffindex_analyzer: missing input: %s" % missing[0])
         return 2
 
+    catalogs = None
+    if any(r in textual.CATALOG_RULES for r in selected):
+        try:
+            catalogs = textual.load_catalogs(root)
+        except textual.CatalogError as e:
+            print("diffindex_analyzer: %s" % e)
+            return 2
+
     notes = []
     program, contexts = build_program(root, paths, notes,
                                       cache_dir=args.cache_dir)
@@ -148,7 +158,7 @@ def main(argv=None):
         sys.stdout.write(report.effect_graph_dump(program, summaries))
         return 0
 
-    engine = rules_mod.RuleEngine(program, contexts, notes)
+    engine = rules_mod.RuleEngine(program, contexts, notes, catalogs)
     findings = engine.run(selected)
 
     if args.json:

@@ -15,6 +15,7 @@ the explosion bound (MAX_CONTEXTS per function) is reported, never
 silently applied.
 """
 
+import functools
 import re
 from collections import namedtuple
 
@@ -71,19 +72,33 @@ def balanced_args(text, open_paren_pos):
     return None
 
 
-def first_arg(text, open_paren_pos):
-    args = balanced_args(text, open_paren_pos)
-    if args is None:
-        return ""
-    depth = 0
-    for j, c in enumerate(args):
+def split_args(argtext):
+    """Splits an argument list at its top-level commas (stripped)."""
+    args, depth, start = [], 0, 0
+    for j, c in enumerate(argtext):
         if c in "([{":
             depth += 1
         elif c in ")]}":
             depth -= 1
         elif c == "," and depth == 0:
-            return args[:j]
-    return args
+            args.append(argtext[start:j])
+            start = j + 1
+    args.append(argtext[start:])
+    return [a.strip() for a in args]
+
+
+def first_arg(text, open_paren_pos):
+    args = balanced_args(text, open_paren_pos)
+    return "" if args is None else split_args(args)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def failpoint_consults(sf):
+    """Every (offset, name) failpoint consult in the file. One extraction
+    feeds the FAILPOINT events (failpoint-reachability, the crash-window
+    rule) and the textual failpoint-names / catalog-sync rules."""
+    return tuple((m.start(), m.group(1))
+                 for m in FAILPOINT_RE.finditer(sf.clean_str))
 
 
 def build_events(program, fn):
@@ -158,8 +173,9 @@ def build_events(program, fn):
         # Any later mention of the variable counts as a use.
         if not re.search(r"\b%s\b" % re.escape(var), rest):
             markers.append((m.start(), "status_local", var))
-    for m in FAILPOINT_RE.finditer(sf.clean_str[fn.body_start:fn.body_end]):
-        markers.append((m.start(), "failpoint", m.group(1)))
+    for pos, name in failpoint_consults(sf):
+        if fn.body_start <= pos < fn.body_end:
+            markers.append((pos - base, "failpoint", name))
     # Durable-effect markers with no call-site shape: success returns
     # from RPC handlers (the ack moment) and dead-letter recordings.
     if fn.return_type == "Status" and fx.HANDLER_NAME_RE.match(fn.name or ""):

@@ -1,8 +1,8 @@
 """Program model: symbol table, call graph, and lock/field registries.
 
 Built purely from text (no clang frontend is available in the build
-image), with the same tokenizer discipline as tools/lint: comments and
-strings are blanked first, so every position maps back to a true line.
+image) over source.py's blanked views: comments and strings are blanked
+first, so every position maps back to a true line.
 
 The extraction is a scope-tracking scanner rather than a grammar: it
 walks brace structure, classifies the text segment that precedes each
@@ -36,16 +36,15 @@ CONTROL_KEYWORDS = {
 }
 
 # Annotation/assertion macros whose trailing `(...)` must not be read as
-# a function signature (member brace-init directly follows some of
-# them: `SharedMutex g_ ACQUIRED_BEFORE(m_){LockRank::kX, "g_"};`).
+# a function signature.
 MACRO_NAMES = {
-    "GUARDED_BY", "PT_GUARDED_BY", "ACQUIRED_BEFORE", "ACQUIRED_AFTER",
-    "REQUIRES", "REQUIRES_SHARED", "EXCLUDES", "RETURN_CAPABILITY",
-    "CAPABILITY", "SCOPED_CAPABILITY", "ACQUIRE", "ACQUIRE_SHARED",
-    "RELEASE", "RELEASE_SHARED", "TRY_ACQUIRE", "TRY_ACQUIRE_SHARED",
-    "NO_THREAD_SAFETY_ANALYSIS", "ASSERT_CAPABILITY",
+    "GUARDED_BY", "PT_GUARDED_BY", "REQUIRES", "REQUIRES_SHARED",
+    "EXCLUDES", "RETURN_CAPABILITY", "CAPABILITY", "SCOPED_CAPABILITY",
+    "ACQUIRE", "ACQUIRE_SHARED", "RELEASE", "RELEASE_SHARED",
+    "TRY_ACQUIRE", "TRY_ACQUIRE_SHARED", "NO_THREAD_SAFETY_ANALYSIS",
+    "ASSERT_CAPABILITY",
     "DIFFINDEX_FAILPOINT", "DIFFINDEX_RETURN_NOT_OK", "CHECK_YIELD",
-    "CHECK_YIELD_RES", "CHECK_POINT_VAL", "NOLINT",
+    "CHECK_YIELD_RES", "CHECK_POINT_VAL",
 }
 
 GTEST_MACROS = {"TEST", "TEST_F", "TEST_P", "TYPED_TEST", "INSTANTIATE_TEST_SUITE_P"}
@@ -69,8 +68,7 @@ CALL_BLACKLIST = CONTROL_KEYWORDS | MACRO_NAMES | GTEST_MACROS | {
 
 def canonical_lock_name(expr):
     """`&wal_sync_mu_`, `region->flush_gate()`, `flush_gate_` all
-    resolve to `wal_sync_mu` / `flush_gate` (same canonicalization as
-    the lint's lock-order rule)."""
+    resolve to `wal_sync_mu` / `flush_gate`."""
     e = expr.strip().lstrip("&*")
     e = re.sub(r"\(\s*\)", "", e)
     for sep in ("->", "."):
@@ -190,12 +188,7 @@ def _bare_class(t):
     return parts[-1].rsplit("::", 1)[-1]
 
 LOCK_DECL_RE = re.compile(
-    r"\b(Mutex|SharedMutex)\s+(\w+)\s*"
-    r"((?:ACQUIRED_(?:BEFORE|AFTER)\s*\([^)]*\)\s*)*)"
-    r"\{\s*LockRank::(k\w+)"
-)
-
-LOCK_ANN_RE = re.compile(r"ACQUIRED_(BEFORE|AFTER)\s*\(([^)]*)\)")
+    r"\b(Mutex|SharedMutex)\s+(\w+)\s*\{\s*LockRank::(k\w+)")
 
 GUARDED_FIELD_RE = re.compile(r"\b([A-Za-z_]\w*)\s+GUARDED_BY\(([^)]*)\)")
 
@@ -256,7 +249,6 @@ class Program:
         self.locks_by_class = {}            # (cls, canonical) -> LockDecl
         self.locks_global = {}              # canonical -> LockDecl | None(ambiguous)
         self.guarded_by_class = {}          # cls -> {field name -> GuardedField}
-        self.declared_edges = {}            # before -> {after: (rel, line)}
         self.member_types = {}              # (cls, member name) -> class type
         self.subclasses = {}                # base -> {derived}
         self.decl_requires = {}             # (cls, method) -> {(raw, shared)}
@@ -293,7 +285,7 @@ class Program:
             fns.append(fn)
             self.functions.append(fn)
         self.functions_by_file[sf.rel] = fns
-        for name, cls, rank_token, shared, line, anns in fm["locks"]:
+        for name, cls, rank_token, shared, line in fm["locks"]:
             rank = self.rank_values.get(rank_token)
             if rank is None or rank == 0:
                 continue
@@ -307,11 +299,6 @@ class Program:
                     self.locks_global[decl.name] = None  # ambiguous name
             else:
                 self.locks_global[decl.name] = decl
-            for kind2, other in anns:
-                before, after = ((decl.name, other) if kind2 == "BEFORE"
-                                 else (other, decl.name))
-                self.declared_edges.setdefault(before, {}).setdefault(
-                    after, (sf.rel, line))
         for name, cls, guard, line in fm["guarded"]:
             fields = self.guarded_by_class.setdefault(cls, {})
             fields[name] = GuardedField(name, cls, guard, sf, line)
@@ -684,17 +671,10 @@ def _register_decls(sf, fm):
     # against the rank table at merge time (so a cached model survives a
     # lock_order.h renumbering — the registry digest catches the rest).
     for m in LOCK_DECL_RE.finditer(clean):
-        kind, raw_name, anns, rank_token = m.groups()
-        cls = owner(m.start())
-        parsed_anns = []
-        for am in LOCK_ANN_RE.finditer(anns):
-            for arg in am.group(2).split(","):
-                other = canonical_lock_name(arg)
-                if other:
-                    parsed_anns.append([am.group(1), other])
-        fm["locks"].append([canonical_lock_name(raw_name), cls, rank_token,
-                            kind == "SharedMutex",
-                            line_of(clean, m.start()), parsed_anns])
+        kind, raw_name, rank_token = m.groups()
+        fm["locks"].append([canonical_lock_name(raw_name), owner(m.start()),
+                            rank_token, kind == "SharedMutex",
+                            line_of(clean, m.start())])
     # Guarded fields.
     for m in GUARDED_FIELD_RE.finditer(clean):
         cls = owner(m.start())

@@ -26,6 +26,22 @@ RULE_DESCRIPTIONS = {
         "checkpoint frame written only after the manifest commit",
     "crash-window-failpoint":
         "every dead-letter crash window carries a named failpoint",
+    "failpoint-names":
+        "every failpoint consulted in src/ is in the DESIGN.md catalog",
+    "metric-names":
+        "every instrument and span stage in src/ has a DESIGN.md row",
+    "catalog-sync":
+        "every DESIGN.md catalog row is still backed by src/",
+    "raw-mutex":
+        "no raw std synchronization primitives outside util/mutex.h",
+    "naked-new":
+        "no naked new outside waived factories and singletons",
+    "index-ts":
+        "index puts at the base ts, old-entry deletes at ts - kDelta",
+    "lsm-layering":
+        "src/lsm/ includes no cluster/ or core/ headers",
+    "ignore-error":
+        "every .IgnoreError() carries an adjacent rationale comment",
     "waiver-rationale":
         "every ANALYZER_WAIVE carries a written rationale",
 }
@@ -105,10 +121,10 @@ def sarif_report(findings, files_scanned):
 
 
 def lock_graph_dump(program, contexts):
-    """Deterministic snapshot of the lock architecture: the rank ladder,
-    the declared ACQUIRED_BEFORE edges, and every distinct held->acquired
-    nesting the interprocedural walk observed. Any refactor that changes
-    acquisition structure changes this text (golden snapshot test)."""
+    """Deterministic snapshot of the lock architecture: the rank ladder
+    and every distinct held->acquired nesting the interprocedural walk
+    observed. Any refactor that changes acquisition structure changes
+    this text (golden snapshot test)."""
     from dataflow import ACQUIRE
 
     out = ["# diffindex-analyzer lock graph (golden snapshot)",
@@ -124,11 +140,6 @@ def lock_graph_dump(program, contexts):
         out.append("rank %-3d %s%s (%s)" %
                    (decl.rank, (decl.cls + "::") if decl.cls else "",
                     decl.name, "shared" if decl.is_shared else "exclusive"))
-    out.append("")
-    out.append("[declared-edges]")
-    for before in sorted(program.declared_edges):
-        for after in sorted(program.declared_edges[before]):
-            out.append("%s -> %s" % (before, after))
     out.append("")
     out.append("[observed-nestings]")
     pairs = {}

@@ -57,6 +57,11 @@ with callee summaries inlined at call sites:
                           (a dead-letter record) must have a named
                           failpoint in the same innermost scope before
                           it, so the chaos harness can cut the window.
+
+The per-file textual rules (failpoint-names, metric-names, catalog-sync,
+raw-mutex, naked-new, index-ts, lsm-layering, ignore-error) live in
+textual.py; RuleEngine dispatches them over src/ and emits their
+findings through the same waiver lookup.
 """
 
 import re
@@ -64,6 +69,7 @@ from collections import namedtuple
 
 import dataflow
 import effects as fx
+import textual
 from dataflow import (ACQUIRE, BLOCKING, GUARDED_WRITE, STATUS_DROP,
                       FAILPOINT, EFFECT)
 from source import line_of
@@ -87,15 +93,22 @@ ALL_RULES = (
     "yield-coverage",
     "status-flow",
     "failpoint-reachability",
-) + DURABILITY_RULES
+) + DURABILITY_RULES + textual.RULES
 
 # The model checker's scheduler and the annotated-primitive layer block
-# by design; the lock-order unit test violates ordering on purpose but
-# carries inline waivers instead of a path exclusion, so its intent is
-# written next to the code.
-def _excluded(fn, rule):
-    rel = fn.sf.rel.replace("\\", "/")
+# by design, and both are built from raw std primitives (the annotated
+# wrappers call back into the scheduler, so it cannot use them); the
+# lock-order unit test violates ordering on purpose but carries inline
+# waivers instead of a path exclusion, so its intent is written next to
+# the code.
+RAW_SYNC_HOMES = ("src/check/scheduler.h", "src/check/scheduler.cc")
+
+
+def _excluded(rel, rule):
+    rel = rel.replace("\\", "/")
     if rel.endswith("util/mutex.h"):
+        return True
+    if rule == "raw-mutex" and rel in RAW_SYNC_HOMES:
         return True
     if rel.startswith("src/check/") and rule in (
             "blocking-under-lock", "lock-order-global", "guarded-access",
@@ -113,10 +126,11 @@ def _chain_text(chain, fn):
 
 
 class RuleEngine:
-    def __init__(self, program, contexts, notes):
+    def __init__(self, program, contexts, notes, catalogs):
         self.program = program
         self.contexts = contexts
         self.notes = notes
+        self.catalogs = catalogs  # textual.Catalogs; None if unselected
         self.findings = []
 
     def _waiver_at(self, rule, fn, line, chain):
@@ -159,6 +173,7 @@ class RuleEngine:
             self._check_effect_orderings(ordering)
         if "crash-window-failpoint" in rules:
             self._check_crash_windows()
+        self._check_textual(rules)
         self._check_waiver_rationales()
         return self.findings
 
@@ -166,7 +181,7 @@ class RuleEngine:
         inherited = ctx.held
         for ev in fn.events:
             if ev.kind == ACQUIRE and "lock-order-global" in rules \
-                    and not _excluded(fn, "lock-order-global"):
+                    and not _excluded(fn.sf.rel, "lock-order-global"):
                 lock = ev.data["lock"]
                 if lock.rank <= 0:
                     continue
@@ -193,7 +208,7 @@ class RuleEngine:
                     self._emit("lock-order-global", fn, ev.line, msg,
                                self._chain_for(ctx, fn, held))
             elif ev.kind == BLOCKING and "blocking-under-lock" in rules \
-                    and not _excluded(fn, "blocking-under-lock"):
+                    and not _excluded(fn.sf.rel, "blocking-under-lock"):
                 full = set(ev.held) | inherited
                 ranked = sorted((h for h in full if h.rank > 0),
                                 key=lambda h: h.rank)
@@ -213,7 +228,7 @@ class RuleEngine:
                 self._emit("blocking-under-lock", fn, ev.line, msg,
                            self._chain_for(ctx, fn, ranked[0]))
             elif ev.kind == GUARDED_WRITE and "guarded-access" in rules \
-                    and not _excluded(fn, "guarded-access") \
+                    and not _excluded(fn.sf.rel, "guarded-access") \
                     and not inherited:
                 # Checked in the base context only: the guard contract is
                 # the function's own (REQUIRES or a local acquisition),
@@ -256,7 +271,8 @@ class RuleEngine:
         yield_files = {fn.sf.rel for fn in program.functions if fn.has_yield
                        and fn.sf.rel.replace("\\", "/").startswith("src/")}
         for fn in program.functions:
-            if fn.sf.rel not in yield_files or _excluded(fn, "yield-coverage"):
+            if fn.sf.rel not in yield_files \
+                    or _excluded(fn.sf.rel, "yield-coverage"):
                 continue
             writes = [ev for ev in fn.events if ev.kind == GUARDED_WRITE]
             if not writes or fn.has_yield:
@@ -475,6 +491,24 @@ class RuleEngine:
                        "cannot crash inside this acked-but-not-durable "
                        "window" % fn.qualname)
                 self._emit("crash-window-failpoint", fn, ev.line, msg)
+
+    # -- per-file textual rules (textual.py) ------------------------------
+
+    def _check_textual(self, rules):
+        src = [sf for sf in self.program.files
+               if sf.rel.replace("\\", "/").startswith("src/")]
+        for rule, check in textual.PER_FILE:
+            if rule not in rules:
+                continue
+            for sf in src:
+                if _excluded(sf.rel, rule):
+                    continue
+                for line, msg in check(sf, self.catalogs):
+                    self._emit_at(rule, sf.rel, line, msg, ())
+        if "catalog-sync" in rules:
+            for line, msg in textual.catalog_sync(src, self.catalogs):
+                self._emit_at("catalog-sync", textual.DESIGN_DOC, line, msg,
+                              ())
 
     def _check_waiver_rationales(self):
         for sf in self.program.files:

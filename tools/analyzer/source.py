@@ -5,7 +5,8 @@ rest of the package works on:
 
   raw        the file exactly as on disk (waiver comments live here)
   clean      comments AND string literals blanked, line structure kept
-  clean_str  comments blanked, string literals kept (failpoint names)
+  clean_str  comments blanked, string literals kept (failpoint,
+             metric and include names)
   waivers    parsed ANALYZER_WAIVE annotations
 
 Waiver grammar (DESIGN.md section 15): a finding is suppressed by a
@@ -31,8 +32,7 @@ MIN_RATIONALE_CHARS = 12
 
 def strip_comments_and_strings(text, keep_strings=False):
     """Blanks out comments (and optionally string literals), preserving
-    line structure so reported line numbers stay true. Same algorithm as
-    tools/lint/diffindex_lint.py."""
+    line structure so reported line numbers stay true."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -142,10 +142,9 @@ class SourceFile:
 
 SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
 
-# Directories whose files are never analyzed: the lint/analyzer fixture
-# corpora seed deliberate violations.
+# Directories whose files are never analyzed: the fixture corpus seeds
+# deliberate violations.
 EXCLUDED_DIR_PARTS = (
-    os.path.join("tests", "lint", "fixtures"),
     os.path.join("tests", "analyzer", "fixtures"),
 )
 
