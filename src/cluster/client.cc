@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <numeric>
 #include <thread>
 
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace diffindex {
@@ -104,24 +105,34 @@ Status Client::FindIndex(const std::string& table,
   return Status::NotFound("no such index: " + index_name + " on " + table);
 }
 
+const RegionInfoWire* Client::FindRegionLocked(const std::string& table,
+                                               const Slice& row) const {
+  // regions_ is sorted by (table, start_row): skip to the table, then the
+  // first region whose range contains the row wins.
+  auto it = std::lower_bound(
+      regions_.begin(), regions_.end(), table,
+      [](const RegionInfoWire& region, const std::string& t) {
+        return region.table < t;
+      });
+  for (; it != regions_.end() && it->table == table; ++it) {
+    if (Slice(it->start_row).compare(row) > 0) break;
+    if (!it->end_row.empty() && row.compare(Slice(it->end_row)) >= 0) {
+      continue;
+    }
+    return &*it;
+  }
+  return nullptr;
+}
+
 Status Client::RouteRow(const std::string& table, const Slice& row,
                         RegionInfoWire* info) {
   MutexLock lock(mu_);
   DIFFINDEX_RETURN_NOT_OK(EnsureLayoutLocked());
-  const RegionInfoWire* best = nullptr;
-  for (const auto& region : regions_) {
-    if (region.table != table) continue;
-    if (Slice(region.start_row).compare(row) > 0) continue;
-    if (!region.end_row.empty() && row.compare(Slice(region.end_row)) >= 0) {
-      continue;
-    }
-    best = &region;
-    break;  // regions are sorted; first match wins
-  }
-  if (best == nullptr) {
+  const RegionInfoWire* region = FindRegionLocked(table, row);
+  if (region == nullptr) {
     return Status::NotFound("no region for " + table);
   }
-  *info = *best;
+  *info = *region;
   return Status::OK();
 }
 
@@ -201,9 +212,13 @@ Status Client::PutColumn(const std::string& table, const std::string& row,
   return Put(table, row, {Cell{column, value, false}});
 }
 
-Status Client::MultiPut(const std::string& table,
-                        std::vector<RowPut> puts) {
-  if (puts.empty()) return Status::OK();
+Status Client::CallPerServer(size_t n, const KeyFn& table_of,
+                             const KeyFn& row_of, bool by_row,
+                             ThreadPool* pool, const BatchFn& send) {
+  if (n == 0) return Status::OK();
+  std::vector<NodeId> owner(n);
+  std::vector<size_t> order(n);
+  std::vector<std::span<const size_t>> batches;
   Status last;
   for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
     if (attempt > 0) {
@@ -214,34 +229,55 @@ Status Client::MultiPut(const std::string& table,
         continue;
       }
     }
-    // Group by owning server under the current layout.
-    std::map<NodeId, MultiPutRequest> batches;
-    last = Status::OK();
-    for (const RowPut& put : puts) {
-      RegionInfoWire region;
-      last = RouteRow(table, put.row, &region);
-      if (!last.ok()) break;
-      PutRequest req;
-      req.table = table;
-      req.row = put.row;
-      req.cells = put.cells;
-      batches[region.server_id].puts.push_back(std::move(req));
+    {
+      MutexLock lock(mu_);
+      last = EnsureLayoutLocked();
+      for (size_t i = 0; last.ok() && i < n; i++) {
+        const RegionInfoWire* region = FindRegionLocked(table_of(i), row_of(i));
+        if (region == nullptr) {
+          last = Status::NotFound("no region for " + table_of(i));
+        } else {
+          owner[i] = region->server_id;
+        }
+      }
     }
     if (!last.ok()) continue;
 
-    for (auto& [server_id, batch] : batches) {
-      std::string body, response;
-      batch.EncodeTo(&body);
-      last = fabric_->Call(self_node_, server_id, MsgType::kMultiPut, body,
-                           &response);
-      if (!last.ok()) break;
-      Slice in(response);
-      MultiPutResponse resp;
-      if (!MultiPutResponse::DecodeFrom(&in, &resp)) {
-        return Status::Corruption("malformed multi-put response");
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (owner[a] != owner[b]) return owner[a] < owner[b];
+      if (by_row) {
+        const int c = row_of(a).compare(row_of(b));
+        if (c != 0) return c < 0;
+      }
+      return a < b;
+    });
+    batches.clear();
+    for (size_t begin = 0, end = 0; begin < n; begin = end) {
+      end = begin + 1;
+      while (end < n && owner[order[end]] == owner[order[begin]]) end++;
+      batches.emplace_back(order.data() + begin, end - begin);
+    }
+    std::vector<Status> statuses(batches.size());
+    auto run = [&](size_t b) {
+      statuses[b] = send(owner[batches[b].front()], batches[b]);
+    };
+    if (pool != nullptr && batches.size() > 1) {
+      obs::RunAllTraced(pool, batches.size(), run);
+    } else {
+      for (size_t b = 0; b < batches.size(); b++) {
+        run(b);
+        if (!statuses[b].ok()) break;  // send nothing after a failure
       }
     }
-    if (last.ok()) return Status::OK();
+    last = Status::OK();
+    for (const Status& status : statuses) {
+      if (!status.ok()) {
+        last = status;
+        break;
+      }
+    }
+    if (last.ok()) return last;
     if (!last.IsWrongRegion() && !last.IsUnavailable() &&
         !last.IsResourceExhausted()) {
       return last;
@@ -251,50 +287,37 @@ Status Client::MultiPut(const std::string& table,
   return last;
 }
 
-Status Client::MultiPutBatch(std::vector<PutRequest> puts) {
-  if (puts.empty()) return Status::OK();
-  Status last;
-  for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt);
-      Status rs = RefreshLayout();
-      if (!rs.ok()) {
-        last = rs;
-        continue;
-      }
-    }
-    // Group by owning server under the current layout; unlike MultiPut the
-    // requests may target different tables.
-    std::map<NodeId, MultiPutRequest> batches;
-    last = Status::OK();
-    for (const PutRequest& put : puts) {
-      RegionInfoWire region;
-      last = RouteRow(put.table, put.row, &region);
-      if (!last.ok()) break;
-      batches[region.server_id].puts.push_back(put);
-    }
-    if (!last.ok()) continue;
-
-    for (auto& [server_id, batch] : batches) {
-      std::string body, response;
-      batch.EncodeTo(&body);
-      last = fabric_->Call(self_node_, server_id, MsgType::kMultiPut, body,
-                           &response);
-      if (!last.ok()) break;
-      Slice in(response);
-      MultiPutResponse resp;
-      if (!MultiPutResponse::DecodeFrom(&in, &resp)) {
-        return Status::Corruption("malformed multi-put response");
-      }
-    }
-    if (last.ok()) return Status::OK();
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
-        !last.IsResourceExhausted()) {
-      return last;
-    }
+Status Client::MultiPut(const std::string& table,
+                        std::vector<RowPut> puts) {
+  std::vector<PutRequest> requests(puts.size());
+  for (size_t i = 0; i < puts.size(); i++) {
+    requests[i].table = table;
+    requests[i].row = std::move(puts[i].row);
+    requests[i].cells = std::move(puts[i].cells);
   }
-  CountRetryExhausted();
-  return last;
+  return MultiPutBatch(std::move(requests));
+}
+
+Status Client::MultiPutBatch(std::vector<PutRequest> puts) {
+  return CallPerServer(
+      puts.size(), [&](size_t i) -> const std::string& { return puts[i].table; },
+      [&](size_t i) -> const std::string& { return puts[i].row; },
+      /*by_row=*/false, /*pool=*/nullptr,
+      [&](NodeId server, std::span<const size_t> positions) {
+        MultiPutRequest batch;
+        batch.puts.reserve(positions.size());
+        for (size_t i : positions) batch.puts.push_back(puts[i]);
+        std::string body, response;
+        batch.EncodeTo(&body);
+        DIFFINDEX_RETURN_NOT_OK(fabric_->Call(
+            self_node_, server, MsgType::kMultiPut, body, &response));
+        Slice in(response);
+        MultiPutResponse resp;
+        if (!MultiPutResponse::DecodeFrom(&in, &resp)) {
+          return Status::Corruption("malformed multi-put response");
+        }
+        return Status::OK();
+      });
 }
 
 Status Client::DeleteColumns(const std::string& table, const std::string& row,
@@ -335,61 +358,32 @@ Status Client::MultiGet(const std::string& table,
                         const std::vector<MultiGetKey>& keys,
                         Timestamp read_ts,
                         std::vector<MultiGetEntry>* entries) {
-  entries->clear();
-  if (keys.empty()) return Status::OK();
-  Status last;
-  for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt);
-      Status rs = RefreshLayout();
-      if (!rs.ok()) {
-        last = rs;
-        continue;
-      }
-    }
-    // Group by owning server, remembering each key's original position so
-    // the per-server responses reassemble in request order.
-    std::map<NodeId, MultiGetRequest> batches;
-    std::map<NodeId, std::vector<size_t>> positions;
-    last = Status::OK();
-    for (size_t i = 0; i < keys.size(); i++) {
-      RegionInfoWire region;
-      last = RouteRow(table, keys[i].row, &region);
-      if (!last.ok()) break;
-      MultiGetRequest& batch = batches[region.server_id];
-      batch.table = table;
-      batch.read_ts = read_ts;
-      batch.keys.push_back(keys[i]);
-      positions[region.server_id].push_back(i);
-    }
-    if (!last.ok()) continue;
-
-    entries->assign(keys.size(), MultiGetEntry{});
-    for (auto& [server_id, batch] : batches) {
-      std::string body, response;
-      batch.EncodeTo(&body);
-      last = fabric_->Call(self_node_, server_id, MsgType::kMultiGet, body,
-                           &response);
-      if (!last.ok()) break;
-      Slice in(response);
-      MultiGetResponse resp;
-      if (!MultiGetResponse::DecodeFrom(&in, &resp) ||
-          resp.entries.size() != batch.keys.size()) {
-        return Status::Corruption("malformed multi-get response");
-      }
-      const std::vector<size_t>& pos = positions[server_id];
-      for (size_t j = 0; j < resp.entries.size(); j++) {
-        (*entries)[pos[j]] = std::move(resp.entries[j]);
-      }
-    }
-    if (last.ok()) return Status::OK();
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
-        !last.IsResourceExhausted()) {
-      return last;
-    }
-  }
-  CountRetryExhausted();
-  return last;
+  entries->assign(keys.size(), MultiGetEntry{});
+  return CallPerServer(
+      keys.size(), [&](size_t) -> const std::string& { return table; },
+      [&](size_t i) -> const std::string& { return keys[i].row; },
+      /*by_row=*/true, /*pool=*/nullptr,
+      [&](NodeId server, std::span<const size_t> positions) {
+        MultiGetRequest batch;
+        batch.table = table;
+        batch.read_ts = read_ts;
+        batch.keys.reserve(positions.size());
+        for (size_t i : positions) batch.keys.push_back(keys[i]);
+        std::string body, response;
+        batch.EncodeTo(&body);
+        DIFFINDEX_RETURN_NOT_OK(fabric_->Call(
+            self_node_, server, MsgType::kMultiGet, body, &response));
+        Slice in(response);
+        MultiGetResponse resp;
+        if (!MultiGetResponse::DecodeFrom(&in, &resp) ||
+            resp.entries.size() != positions.size()) {
+          return Status::Corruption("malformed multi-get response");
+        }
+        for (size_t j = 0; j < positions.size(); j++) {
+          (*entries)[positions[j]] = std::move(resp.entries[j]);
+        }
+        return Status::OK();
+      });
 }
 
 Status Client::IndexScanRegion(const std::string& index_table,
@@ -416,20 +410,44 @@ Status Client::IndexScanRegion(const std::string& index_table,
   return Status::OK();
 }
 
+Status Client::GetRows(const std::string& table,
+                       const std::vector<std::string>& rows,
+                       Timestamp read_ts, std::vector<RowResult>* results,
+                       ThreadPool* pool) {
+  results->assign(rows.size(), RowResult{});
+  return CallPerServer(
+      rows.size(), [&](size_t) -> const std::string& { return table; },
+      [&](size_t i) -> const std::string& { return rows[i]; },
+      /*by_row=*/true, pool,
+      [&](NodeId server, std::span<const size_t> positions) {
+        GetRowRequest batch;
+        batch.table = table;
+        batch.read_ts = read_ts;
+        batch.rows.reserve(positions.size());
+        for (size_t i : positions) batch.rows.push_back(rows[i]);
+        std::string body, response;
+        batch.EncodeTo(&body);
+        DIFFINDEX_RETURN_NOT_OK(fabric_->Call(self_node_, server,
+                                              MsgType::kGetRow, body,
+                                              &response));
+        Slice in(response);
+        GetRowResponse resp;
+        if (!GetRowResponse::DecodeFrom(&in, &resp) ||
+            resp.rows.size() != positions.size()) {
+          return Status::Corruption("malformed get-row response");
+        }
+        for (size_t j = 0; j < positions.size(); j++) {
+          (*results)[positions[j]] = std::move(resp.rows[j]);
+        }
+        return Status::OK();
+      });
+}
+
 Status Client::GetRow(const std::string& table, const std::string& row,
-                      Timestamp read_ts, GetRowResponse* resp) {
-  GetRowRequest req;
-  req.table = table;
-  req.row = row;
-  req.read_ts = read_ts;
-  std::string body, response;
-  req.EncodeTo(&body);
-  DIFFINDEX_RETURN_NOT_OK(
-      CallRegion(table, row, MsgType::kGetRow, body, &response));
-  Slice in(response);
-  if (!GetRowResponse::DecodeFrom(&in, resp)) {
-    return Status::Corruption("malformed get-row response");
-  }
+                      Timestamp read_ts, RowResult* result) {
+  std::vector<RowResult> results;
+  DIFFINDEX_RETURN_NOT_OK(GetRows(table, {row}, read_ts, &results));
+  *result = std::move(results[0]);
   return Status::OK();
 }
 

@@ -11,7 +11,9 @@
 #ifndef DIFFINDEX_CLUSTER_CLIENT_H_
 #define DIFFINDEX_CLUSTER_CLIENT_H_
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,8 @@
 #include "util/thread_annotations.h"
 
 namespace diffindex {
+
+class ThreadPool;
 
 struct ClientOptions {
   int max_retries = 8;
@@ -102,8 +106,21 @@ class Client {
                          const std::string& end_key, Timestamp read_ts,
                          uint32_t limit, IndexScanResponse* resp);
 
+  // Batched full-row reads (the row fetch of an uncovered index scan
+  // page): groups `rows` by owning region server, sorts each server's
+  // batch by row key and ships one kGetRow RPC per server. `results` comes
+  // back parallel to `rows`; rows may repeat, and a missing row is
+  // found=false, not an error. The whole batch is retried on
+  // WrongRegion/Unavailable (reads are idempotent). With a non-null
+  // `pool` and more than one server, all batches but one run on the pool
+  // and the calling thread runs the last; null runs them inline.
+  Status GetRows(const std::string& table, const std::vector<std::string>& rows,
+                 Timestamp read_ts, std::vector<RowResult>* results,
+                 ThreadPool* pool = nullptr);
+
+  // GetRows with a batch of one.
   Status GetRow(const std::string& table, const std::string& row,
-                Timestamp read_ts, GetRowResponse* resp);
+                Timestamp read_ts, RowResult* result);
 
   // Scans [start_row, end_row) across region boundaries; limit 0 =
   // unlimited.
@@ -152,6 +169,29 @@ class Client {
   // on routing/availability errors.
   Status CallRegion(const std::string& table, const Slice& row, MsgType type,
                     const std::string& body, std::string* response);
+
+  // The one per-server batching loop behind MultiPut, MultiPutBatch,
+  // MultiGet and GetRows. Routes keys [0, n) — key i is (table_of(i),
+  // row_of(i)) — against the cached layout under one mu_ acquisition and
+  // groups their positions into one sorted index vector: by owning server
+  // (ascending id), then by row key when `by_row` (reads), else in key
+  // order (writes). Calls send(server, positions) once per server. A
+  // WrongRegion/Unavailable/ResourceExhausted from any batch refreshes
+  // the layout, regroups and retries the whole batch, up to max_retries
+  // attempts. A non-null `pool` (reads only) runs all batches but the
+  // last on the pool, each under the caller's trace context; writes stay
+  // serial, in server order.
+  using KeyFn = std::function<const std::string&(size_t)>;
+  using BatchFn =
+      std::function<Status(NodeId server, std::span<const size_t> positions)>;
+  Status CallPerServer(size_t n, const KeyFn& table_of, const KeyFn& row_of,
+                       bool by_row, ThreadPool* pool, const BatchFn& send);
+
+  // First region of `table` in the cached layout containing `row`; null
+  // if none.
+  const RegionInfoWire* FindRegionLocked(const std::string& table,
+                                         const Slice& row) const
+      REQUIRES(mu_);
 
   Status EnsureLayoutLocked() REQUIRES(mu_);
 

@@ -943,18 +943,29 @@ Status RegionServer::HandleGetRow(Slice body, std::string* response) {
   if (!GetRowRequest::DecodeFrom(&body, &req)) {
     return Status::InvalidArgument("malformed get-row");
   }
-  auto region = FindRegion(req.table, req.row);
-  if (region == nullptr) return Status::WrongRegion(req.table);
-
-  std::vector<LsmTree::ScanEntry> entries;
-  DIFFINDEX_RETURN_NOT_OK(region->tree()->Scan(
-      RowScanStart(req.row), RowScanEnd(req.row), req.read_ts, 0, &entries));
   GetRowResponse resp;
-  resp.found = !entries.empty();
-  for (const auto& entry : entries) {
-    std::string row, column;
-    if (!DecodeCellKey(entry.key, &row, &column)) continue;
-    resp.cells.push_back(RowCell{column, entry.value, entry.ts});
+  resp.rows.resize(req.rows.size());
+  std::vector<LsmTree::ScanEntry> entries;
+  for (size_t i = 0; i < req.rows.size(); i++) {
+    const std::string& row_key = req.rows[i];
+    // Every row must route here; a stale client layout fails the whole
+    // batch so the client refreshes and regroups (reads are idempotent).
+    auto region = FindRegion(req.table, row_key);
+    if (region == nullptr) {
+      return Status::WrongRegion(req.table + "/" + row_key);
+    }
+    DIFFINDEX_RETURN_NOT_OK(region->tree()->Scan(RowScanStart(row_key),
+                                                 RowScanEnd(row_key),
+                                                 req.read_ts, 0, &entries));
+    RowResult& result = resp.rows[i];
+    result.found = !entries.empty();
+    result.cells.reserve(entries.size());
+    for (auto& entry : entries) {
+      std::string row, column;
+      if (!DecodeCellKey(entry.key, &row, &column)) continue;
+      result.cells.push_back(
+          RowCell{std::move(column), std::move(entry.value), entry.ts});
+    }
   }
   resp.EncodeTo(response);
   return Status::OK();

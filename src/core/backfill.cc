@@ -184,7 +184,7 @@ Status IndexBackfill::Verify(const std::string& base_table,
           components.size() == 1 ? components[0]
                                  : EncodeCompositeIndexValue(components);
       const std::string index_row = EncodeIndexRow(value_encoded, row.row);
-      GetRowResponse entry;
+      RowResult entry;
       DIFFINDEX_RETURN_NOT_OK(client_->GetRow(index.index_table, index_row,
                                               kMaxTimestamp, &entry));
       if (!entry.found) report->missing_entries++;

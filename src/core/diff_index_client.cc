@@ -86,11 +86,11 @@ Status DiffIndexClient::Get(const std::string& table, const std::string& row,
 
 Status DiffIndexClient::GetRow(const std::string& table,
                                const std::string& row,
-                               GetRowResponse* resp) {
+                               RowResult* result) {
   obs::ScopedTraceContext scope(OpContext("get_row", table));
   obs::SpanTimer span(metrics_, traces_, "client.get_row");
   if (stats_ != nullptr) stats_->AddBaseRead();
-  return client_->GetRow(table, row, kMaxTimestamp, resp);
+  return client_->GetRow(table, row, kMaxTimestamp, result);
 }
 
 Status DiffIndexClient::ReadIndex(const std::string& table,
@@ -192,15 +192,21 @@ Status DiffIndexClient::QueryByIndex(const std::string& table,
   std::vector<IndexHit> hits;
   DIFFINDEX_RETURN_NOT_OK(
       GetByIndex(table, index_name, value_encoded, &hits));
-  for (const IndexHit& hit : hits) {
-    GetRowResponse resp;
-    if (stats_ != nullptr) stats_->AddBaseRead();
-    DIFFINDEX_RETURN_NOT_OK(
-        client_->GetRow(table, hit.base_row, kMaxTimestamp, &resp));
-    if (!resp.found) continue;  // row deleted since the index read
+  // One kGetRow batch per base server, inline on this thread.
+  std::vector<std::string> keys;
+  keys.reserve(hits.size());
+  for (const IndexHit& hit : hits) keys.push_back(hit.base_row);
+  std::vector<RowResult> fetched;
+  if (stats_ != nullptr) {
+    for (size_t i = 0; i < keys.size(); i++) stats_->AddBaseRead();
+  }
+  DIFFINDEX_RETURN_NOT_OK(
+      client_->GetRows(table, keys, kMaxTimestamp, &fetched));
+  for (size_t i = 0; i < keys.size(); i++) {
+    if (!fetched[i].found) continue;  // row deleted since the index read
     ScannedRow row;
-    row.row = hit.base_row;
-    row.cells = std::move(resp.cells);
+    row.row = std::move(keys[i]);
+    row.cells = std::move(fetched[i].cells);
     rows->push_back(std::move(row));
   }
   return Status::OK();

@@ -51,7 +51,7 @@ class DiffIndexClient {
   Status Get(const std::string& table, const std::string& row,
              const std::string& column, std::string* value);
   Status GetRow(const std::string& table, const std::string& row,
-                GetRowResponse* resp);
+                RowResult* result);
 
   // ---- Index reads ----
 

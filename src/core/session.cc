@@ -66,6 +66,30 @@ Status SessionManager::RecordEntry(SessionId id,
   return Status::OK();
 }
 
+Status SessionManager::PrivateRows(SessionId id,
+                                   const std::string& index_table,
+                                   const std::string& range_start,
+                                   const std::string& range_end,
+                                   std::vector<std::string>* rows) {
+  MutexLock lock(mu_);
+  Session* session;
+  DIFFINDEX_RETURN_NOT_OK(TouchLocked(id, &session));
+  if (session->degraded) return Status::OK();
+  auto table_it = session->tables.find(index_table);
+  if (table_it == session->tables.end()) return Status::OK();
+  const auto& priv = table_it->second;
+  auto lo = priv.lower_bound(range_start);
+  auto hi = range_end.empty() ? priv.end() : priv.lower_bound(range_end);
+  for (auto it = lo; it != hi; ++it) {
+    std::string value, row;
+    if (it->second.is_delete || !DecodeIndexRow(it->first, &value, &row)) {
+      continue;
+    }
+    rows->push_back(std::move(row));
+  }
+  return Status::OK();
+}
+
 Status SessionManager::MergeHits(SessionId id, const std::string& index_table,
                                  const std::string& range_start,
                                  const std::string& range_end,

@@ -61,6 +61,15 @@ class SessionManager {
                    const std::string& range_end, std::vector<IndexHit>* hits,
                    bool* degraded);
 
+  // Appends to `rows` the base row of every private entry MergeHits could
+  // add on [range_start, range_end) — what an uncovered scan page fetches
+  // alongside its server hits, so merged hits' rows come from the same
+  // batch. Appends nothing for a degraded session.
+  Status PrivateRows(SessionId id, const std::string& index_table,
+                     const std::string& range_start,
+                     const std::string& range_end,
+                     std::vector<std::string>* rows);
+
   // Expires idle sessions; returns how many were collected.
   size_t CollectExpired();
 

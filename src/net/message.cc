@@ -165,15 +165,28 @@ bool GetCellResponse::DecodeFrom(Slice* in, GetCellResponse* resp) {
 
 // ---- GetRow ----
 
+// Every element a decoder sizes a vector for takes at least one byte on
+// the wire, so a count above the bytes left is malformed — rejected before
+// it can drive an allocation.
+
 void GetRowRequest::EncodeTo(std::string* out) const {
   PutString(out, table);
-  PutString(out, row);
   PutFixed64(out, read_ts);
+  PutVarint32(out, static_cast<uint32_t>(rows.size()));
+  for (const std::string& row : rows) PutString(out, row);
 }
 
 bool GetRowRequest::DecodeFrom(Slice* in, GetRowRequest* req) {
-  return GetString(in, &req->table) && GetString(in, &req->row) &&
-         GetFixed64(in, &req->read_ts);
+  uint32_t n;
+  if (!GetString(in, &req->table) || !GetFixed64(in, &req->read_ts) ||
+      !GetVarint32(in, &n) || n > in->size()) {
+    return false;
+  }
+  req->rows.resize(n);
+  for (uint32_t i = 0; i < n; i++) {
+    if (!GetString(in, &req->rows[i])) return false;
+  }
+  return true;
 }
 
 namespace {
@@ -189,7 +202,7 @@ void EncodeRowCells(std::string* out, const std::vector<RowCell>& cells) {
 
 bool DecodeRowCells(Slice* in, std::vector<RowCell>* cells) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetVarint32(in, &n) || n > in->size()) return false;
   cells->resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!GetLengthPrefixedString(in, &(*cells)[i].column) ||
@@ -204,15 +217,25 @@ bool DecodeRowCells(Slice* in, std::vector<RowCell>* cells) {
 }  // namespace
 
 void GetRowResponse::EncodeTo(std::string* out) const {
-  out->push_back(found ? 1 : 0);
-  EncodeRowCells(out, cells);
+  PutVarint32(out, static_cast<uint32_t>(rows.size()));
+  for (const RowResult& row : rows) {
+    out->push_back(row.found ? 1 : 0);
+    EncodeRowCells(out, row.cells);
+  }
 }
 
 bool GetRowResponse::DecodeFrom(Slice* in, GetRowResponse* resp) {
-  if (in->empty()) return false;
-  resp->found = (*in)[0] != 0;
-  in->remove_prefix(1);
-  return DecodeRowCells(in, &resp->cells);
+  uint32_t n;
+  if (!GetVarint32(in, &n) || n > in->size()) return false;
+  resp->rows.resize(n);
+  for (uint32_t i = 0; i < n; i++) {
+    RowResult& row = resp->rows[i];
+    if (in->empty()) return false;
+    row.found = (*in)[0] != 0;
+    in->remove_prefix(1);
+    if (!DecodeRowCells(in, &row.cells)) return false;
+  }
+  return true;
 }
 
 // ---- ScanRows ----

@@ -7,6 +7,12 @@
 // a table holds rows identified by a row key; each row holds named columns
 // with values and timestamps. On the wire and in the LSM, one cell is one
 // record whose user key is EncodeCellKey(row, column).
+//
+// Batched reads (kGetRow, kMultiGet) carry a list of rows/keys that must
+// all route to the serving server; one that does not fails the whole
+// batch with WrongRegion and the client regroups. Decoders check every
+// declared element count against the bytes left before sizing a vector,
+// so a corrupt or hostile count cannot drive an allocation.
 
 #ifndef DIFFINDEX_NET_MESSAGE_H_
 #define DIFFINDEX_NET_MESSAGE_H_
@@ -24,7 +30,7 @@ namespace diffindex {
 enum class MsgType : uint8_t {
   kPut = 1,       // insert/update/delete cells of one row
   kGetCell = 2,   // read one cell
-  kGetRow = 3,    // read all columns of one row
+  kGetRow = 3,    // read all columns of a batch of rows
   kScanRows = 4,  // scan rows in a row-key range
   kRawScan = 5,   // scan raw cell keyspace (index lookups)
   kRawDelete = 6, // delete a raw cell key at a timestamp (index repair)
@@ -106,10 +112,16 @@ struct GetCellResponse {
   static bool DecodeFrom(Slice* in, GetCellResponse* resp);
 };
 
+// Batched full-row reads: the row fetch of an uncovered index scan page
+// (and of QueryByIndex) ships one request per base server instead of one
+// per hit. Rows may repeat but must all route to the same server; a row
+// the server does not serve fails the whole batch with WrongRegion (the
+// client refreshes its layout, regroups and retries). A single-row read
+// is a batch of one.
 struct GetRowRequest {
   std::string table;
-  std::string row;
   Timestamp read_ts = kMaxTimestamp;
+  std::vector<std::string> rows;
 
   void EncodeTo(std::string* out) const;
   static bool DecodeFrom(Slice* in, GetRowRequest* req);
@@ -121,9 +133,14 @@ struct RowCell {
   Timestamp ts = 0;
 };
 
-struct GetRowResponse {
+// One row of a GetRow batch: its live cells in column order.
+struct RowResult {
   bool found = false;  // at least one live cell
   std::vector<RowCell> cells;
+};
+
+struct GetRowResponse {
+  std::vector<RowResult> rows;  // parallel to the request's rows
 
   void EncodeTo(std::string* out) const;
   static bool DecodeFrom(Slice* in, GetRowResponse* resp);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/coding.h"
+#include "util/thread_pool.h"
 #include "util/timestamp_oracle.h"
 
 namespace diffindex {
@@ -127,6 +128,20 @@ std::string TraceCollector::Dump(uint64_t trace_id) const {
         << ")\n";
   }
   return oss.str();
+}
+
+void RunAllTraced(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& task) {
+  const TraceContext ctx = CurrentTraceContext();
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(n);
+  for (size_t i = 0; i < n; i++) {
+    tasks.emplace_back([&ctx, &task, i]() {
+      ScopedTraceContext scope(ctx);
+      task(i);
+    });
+  }
+  pool->RunAll(std::move(tasks));
 }
 
 SpanTimer::SpanTimer(MetricsRegistry* metrics, TraceCollector* collector,

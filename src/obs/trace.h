@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,9 @@
 #include "util/thread_annotations.h"
 
 namespace diffindex {
+
+class ThreadPool;
+
 namespace obs {
 
 struct TraceContext {
@@ -62,6 +66,13 @@ class ScopedTraceContext {
  private:
   TraceContext saved_;
 };
+
+// Runs task(0) .. task(n-1) through pool->RunAll, each under the calling
+// thread's ambient context: work handed to pool threads keeps the
+// caller's trace id, scheme label and parent span, exactly as if it ran
+// inline.
+void RunAllTraced(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& task);
 
 // One completed span, as kept by the TraceCollector.
 struct SpanRecord {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "core/index_codec.h"
@@ -14,29 +17,6 @@
 namespace diffindex {
 
 namespace {
-
-// Completion latch for one page's scatter-gather legs: Wait() returns
-// once every leg has called CountDown(). Cheaper than ThreadPool::Wait(),
-// which drains the whole (shared) queue.
-class LegLatch {
- public:
-  explicit LegLatch(size_t n) : remaining_(n) {}
-
-  void CountDown() {
-    MutexLock lock(mu_);
-    if (--remaining_ == 0) cv_.SignalAll();
-  }
-
-  void Wait() {
-    MutexLock lock(mu_);
-    cv_.Wait(mu_, [this]() REQUIRES(mu_) { return remaining_ == 0; });
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  size_t remaining_ GUARDED_BY(mu_);
-};
 
 // Keeps only the cells whose column is in `projection`, preserving cell
 // order — the same filter as QueryEngine's projection over fetched rows.
@@ -52,6 +32,24 @@ void ProjectCells(const std::vector<std::string>& projection,
     }
   }
   row->cells = std::move(kept);
+}
+
+// Re-pairs fetched rows with `hits` after the session merge reordered
+// and extended them: each hit takes the row fetched for its base row
+// (`keys` parallel to `fetched`; on a repeated key the last wins). A hit
+// whose row was not fetched gets found=false and so no result row.
+void AlignRows(const std::vector<IndexHit>& hits,
+               const std::vector<std::string>& keys,
+               const std::vector<RowResult>& fetched,
+               std::vector<RowResult>* rows) {
+  std::unordered_map<std::string_view, size_t> by_key;
+  by_key.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); i++) by_key[keys[i]] = i;
+  rows->assign(hits.size(), RowResult{});
+  for (size_t i = 0; i < hits.size(); i++) {
+    auto it = by_key.find(hits[i].base_row);
+    if (it != by_key.end()) (*rows)[i] = fetched[it->second];
+  }
 }
 
 }  // namespace
@@ -97,27 +95,15 @@ Status IndexScanner::GatherOnce(uint32_t budget,
   responses->clear();
   responses->resize(legs.size());
   std::vector<Status> statuses(legs.size(), Status::OK());
-  const bool inline_legs = options_.max_parallel <= 1 || legs.size() == 1;
-  if (inline_legs) {
-    for (size_t i = 0; i < legs.size(); i++) {
-      statuses[i] = raw->IndexScanRegion(index_.index_table, legs[i], cursor_,
-                                         end_key_, kMaxTimestamp, budget,
-                                         &(*responses)[i]);
-    }
+  auto leg = [&](size_t i) {
+    statuses[i] = raw->IndexScanRegion(index_.index_table, legs[i], cursor_,
+                                       end_key_, kMaxTimestamp, budget,
+                                       &(*responses)[i]);
+  };
+  if (options_.max_parallel <= 1 || legs.size() == 1) {
+    for (size_t i = 0; i < legs.size(); i++) leg(i);
   } else {
-    ThreadPool* pool = engine_->pool();
-    LegLatch latch(legs.size());
-    for (size_t i = 0; i < legs.size(); i++) {
-      auto leg = [this, raw, &latch, &legs, &statuses, responses, budget,
-                  i]() {
-        statuses[i] = raw->IndexScanRegion(index_.index_table, legs[i],
-                                           cursor_, end_key_, kMaxTimestamp,
-                                           budget, &(*responses)[i]);
-        latch.CountDown();
-      };
-      if (!pool->Submit(leg)) leg();  // pool shut down: degrade to inline
-    }
-    latch.Wait();
+    obs::RunAllTraced(engine_->pool(), legs.size(), leg);
   }
 
   DIFFINDEX_FAILPOINT("query.merge");
@@ -125,8 +111,10 @@ Status IndexScanner::GatherOnce(uint32_t budget,
   return Status::OK();
 }
 
-Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs) {
+Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
+                              std::vector<RowResult>* rows) {
   hits->clear();
+  if (rows != nullptr) rows->clear();
   if (exhausted_) return Status::OK();
 
   DiffIndexClient* client = engine_->client_;
@@ -196,24 +184,72 @@ Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs) {
   } else {
     next_cursor = cursor_;
   }
+  const std::string& merge_end = done ? end_key_ : next_cursor;
+
+  // Uncovered pages: the fetched rows, keyed by `keys` — the hits' first,
+  // then any session private rows; *rows takes the hits' share.
+  std::vector<std::string> keys;
+  std::vector<RowResult> fetched;
+  if (rows != nullptr) {
+    DIFFINDEX_RETURN_NOT_OK(FetchRows(*hits, merge_end, &keys, &fetched));
+    rows->assign(std::make_move_iterator(fetched.begin()),
+                 std::make_move_iterator(fetched.begin() + hits->size()));
+  }
 
   if (index_.scheme == IndexScheme::kSyncInsert) {
-    DIFFINDEX_RETURN_NOT_OK(
-        BatchedRepairHits(raw, client->stats(), spec_.table, index_, hits));
+    DIFFINDEX_RETURN_NOT_OK(BatchedRepairHits(raw, client->stats(),
+                                              spec_.table, index_, hits,
+                                              rows));
   }
 
   if (options_.session != 0) {
+    if (rows != nullptr) {
+      // Keep the private rows and append the surviving hits' rows, so a
+      // row fetched twice pairs with the version its hit was checked
+      // against (AlignRows: the last key wins).
+      keys.erase(keys.begin(), keys.begin() + scanned);
+      fetched.erase(fetched.begin(), fetched.begin() + scanned);
+      for (size_t i = 0; i < hits->size(); i++) {
+        keys.push_back((*hits)[i].base_row);
+        fetched.push_back(std::move((*rows)[i]));
+      }
+    }
     // Page windows are disjoint and in index order, and MergeHits keeps
     // (value, base_row) order inside the window, so the merged stream
     // stays globally ordered.
     DIFFINDEX_RETURN_NOT_OK(client->sessions()->MergeHits(
-        options_.session, index_.index_table, cursor_,
-        done ? end_key_ : next_cursor, hits, /*degraded=*/nullptr));
+        options_.session, index_.index_table, cursor_, merge_end, hits,
+        /*degraded=*/nullptr));
+    if (rows != nullptr) AlignRows(*hits, keys, fetched, rows);
   }
 
   returned_ += scanned;
   cursor_ = std::move(next_cursor);
   exhausted_ = done;
+  return Status::OK();
+}
+
+Status IndexScanner::FetchRows(const std::vector<IndexHit>& hits,
+                               const std::string& merge_end,
+                               std::vector<std::string>* keys,
+                               std::vector<RowResult>* fetched) {
+  DiffIndexClient* client = engine_->client_;
+  Client* raw = client->raw_client();
+  keys->reserve(hits.size());
+  for (const auto& hit : hits) keys->push_back(hit.base_row);
+  if (options_.session != 0) {
+    DIFFINDEX_RETURN_NOT_OK(client->sessions()->PrivateRows(
+        options_.session, index_.index_table, cursor_, merge_end, keys));
+  }
+  DIFFINDEX_RETURN_NOT_OK(
+      raw->GetRows(spec_.table, *keys, kMaxTimestamp, fetched,
+                   options_.max_parallel > 1 ? engine_->pool() : nullptr));
+  if (client->stats() != nullptr) {
+    for (size_t i = 0; i < keys->size(); i++) client->stats()->AddBaseRead();
+  }
+  if (raw->metrics() != nullptr) {
+    raw->metrics()->GetCounter("query.base_reads")->Add(keys->size());
+  }
   return Status::OK();
 }
 
@@ -228,18 +264,19 @@ Status IndexScanner::NextPage(ScanPage* page) {
   obs::MetricsRegistry* metrics = raw->metrics();
   obs::SpanTimer span(metrics, raw->traces(), "query.page");
 
+  const bool covered = options_.allow_covered &&
+                       CoveredProjectionEligible(index_, spec_.projection);
   std::vector<IndexHit> hits;
+  std::vector<RowResult> rows;  // parallel to hits; uncovered pages only
   uint64_t legs = 0;
-  Status s = NextHits(&hits, &legs);
+  Status s = NextHits(&hits, &legs, covered ? nullptr : &rows);
   if (metrics != nullptr) metrics->GetCounter("query.legs")->Add(legs);
   DIFFINDEX_RETURN_NOT_OK(s);
   if (metrics != nullptr) metrics->GetCounter("query.pages")->Add();
 
-  const bool covered =
-      options_.allow_covered && CoveredProjectionEligible(index_, spec_.projection);
+  page->rows.reserve(hits.size());
   if (covered) {
     if (metrics != nullptr) metrics->GetCounter("query.covered")->Add();
-    page->rows.reserve(hits.size());
     for (const auto& hit : hits) {
       ScannedRow row;
       if (!MaterializeCoveredRow(index_, spec_.projection, hit, &row)) {
@@ -249,17 +286,11 @@ Status IndexScanner::NextPage(ScanPage* page) {
     }
     page->covered = true;
   } else {
-    page->rows.reserve(hits.size());
-    for (const auto& hit : hits) {
-      GetRowResponse resp;
-      if (client->stats() != nullptr) client->stats()->AddBaseRead();
-      if (metrics != nullptr) metrics->GetCounter("query.base_reads")->Add();
-      DIFFINDEX_RETURN_NOT_OK(
-          raw->GetRow(spec_.table, hit.base_row, kMaxTimestamp, &resp));
-      if (!resp.found) continue;  // row vanished since the index scan
+    for (size_t i = 0; i < hits.size(); i++) {
+      if (!rows[i].found) continue;  // row vanished since the index scan
       ScannedRow row;
-      row.row = hit.base_row;
-      row.cells = std::move(resp.cells);
+      row.row = hits[i].base_row;
+      row.cells = std::move(rows[i].cells);
       ProjectCells(spec_.projection, &row);
       page->rows.push_back(std::move(row));
     }
@@ -320,7 +351,7 @@ Status ReadEngine::ReadHits(ScanSpec spec, const ScanOptions& options,
   std::vector<IndexHit> page;
   uint64_t legs = 0;
   while (!scanner.exhausted()) {
-    DIFFINDEX_RETURN_NOT_OK(scanner.NextHits(&page, &legs));
+    DIFFINDEX_RETURN_NOT_OK(scanner.NextHits(&page, &legs, nullptr));
     if (hits->empty()) {
       hits->swap(page);
     } else {

@@ -6,15 +6,22 @@
 // This is the one read path over a global index. Each page issues one
 // kIndexScan leg per overlapping region, merges the legs in region order
 // (regions partition the keyspace, so the merge is a concatenation),
-// decodes the entries, runs sync-insert read-repair and the session
-// merge, and — for NextPage — materialises rows. DiffIndexClient's
-// GetByIndex/RangeByIndex (and their session variants) run the same
-// step through ReadHits, without the row materialisation.
+// decodes the entries, fetches the hits' base rows (uncovered NextPage
+// only), runs sync-insert read-repair and the session merge.
+// DiffIndexClient's GetByIndex/RangeByIndex (and their session variants)
+// run the same step through ReadHits, without the row fetch.
+//
+// Fan-out: with ScanOptions::max_parallel > 1 a page's index legs, and
+// its row fetch's per-server kGetRow batches, run on the engine's pool
+// (ThreadPool::RunAll: the calling thread runs the last one) under the
+// caller's trace context. An uncovered sync-insert page verifies each hit
+// against its fetched row, so it returns exactly the row versions its
+// hits were checked against and costs K base reads for K hits.
 //
 // Per-page retry: a leg that lands on a moved region fails fast with
 // WrongRegion (legs are addressed by region id); the engine refreshes
 // the layout and retries the whole page — reads are idempotent, so the
-// page-granular retry is safe.
+// page-granular retry is safe. Row batches retry inside Client::GetRows.
 //
 // Observability: counters query.pages / query.legs / query.covered /
 // query.base_reads (pages and legs count NextPage pages only), span
@@ -55,10 +62,10 @@ struct ScanOptions {
   // Max index entries per page; 0 = unbounded (one page covers the
   // range, which is how DiffIndexClient's index reads run).
   uint32_t page_entries = 256;
-  // >1: legs of a page run on the engine's thread pool (whose size,
-  // ReadEngineOptions::max_parallel_legs, is the actual cap). <=1: legs
-  // run inline on the calling thread — required under the model checker,
-  // whose scheduler cannot control pool threads.
+  // >1: a page's legs and per-server row batches run on the engine's
+  // thread pool (whose size, ReadEngineOptions::max_parallel_legs, is the
+  // actual cap). <=1: they run inline on the calling thread — required
+  // under the model checker, whose scheduler cannot control pool threads.
   int max_parallel = 4;
   bool allow_covered = true;
   // Non-zero: merge this session's private entries into each page
@@ -71,9 +78,9 @@ struct ScanOptions {
 struct ScanPage {
   // Verified hits in index order (encoded value, then base row).
   std::vector<IndexHit> hits;
-  // Materialized result rows. One per hit for covered pages; base rows
-  // that vanished between index scan and fetch are skipped otherwise, so
-  // rows.size() <= hits.size().
+  // Materialized result rows. One per hit for covered pages; otherwise
+  // the fetched base rows, skipping rows that vanished between index scan
+  // and fetch, so rows.size() <= hits.size().
   std::vector<ScannedRow> rows;
   bool covered = false;  // rows came from the index alone
 };
@@ -116,11 +123,26 @@ class IndexScanner {
   IndexScanner(ReadEngine* engine, ScanSpec spec, const ScanOptions& options,
                IndexDescriptor index);
 
-  // The hits-only step shared by NextPage and ReadEngine::ReadHits:
-  // gather (with page retry), decode, sync-insert read-repair and the
-  // session merge, then advance the cursor. Adds the legs it issued to
-  // *legs.
-  Status NextHits(std::vector<IndexHit>* hits, uint64_t* legs);
+  // The step shared by NextPage and ReadEngine::ReadHits: gather (with
+  // page retry), decode, sync-insert read-repair and the session merge,
+  // then advance the cursor. Adds the legs it issued to *legs. `rows`
+  // non-null (uncovered pages): also fetches every hit's base row —
+  // parallel to *hits on return — in one kGetRow batch per base server,
+  // run on the pool when max_parallel > 1, and repair verifies each hit
+  // against its fetched row. `rows` null (covered pages, ReadHits):
+  // repair reads the index columns with per-server MultiGets.
+  Status NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
+                  std::vector<RowResult>* rows);
+
+  // The row fetch of an uncovered page: *keys gets the base rows of
+  // `hits`, then of the session's private entries on [cursor_, merge_end)
+  // (what the merge may add), and *fetched those rows, parallel — one
+  // kGetRow batch per base server, on the pool when max_parallel > 1.
+  // Counts one base read per row.
+  Status FetchRows(const std::vector<IndexHit>& hits,
+                   const std::string& merge_end,
+                   std::vector<std::string>* keys,
+                   std::vector<RowResult>* fetched);
 
   // One scatter-gather round: fans a leg out per index region overlapping
   // [cursor_, end_key_), each asking for at most `budget` entries (0 = no
@@ -173,8 +195,8 @@ class ReadEngine {
  private:
   friend class IndexScanner;
 
-  // Lazily created scatter-gather pool: scans with max_parallel <= 1
-  // never spawn threads (model-checker determinism).
+  // Lazily created pool for index legs and row batches: scans with
+  // max_parallel <= 1 never spawn threads (model-checker determinism).
   ThreadPool* pool() EXCLUDES(pool_mu_);
   void BackoffBeforeRetry(int attempt);
 

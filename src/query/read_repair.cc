@@ -25,59 +25,77 @@ std::vector<std::string> VerificationColumns(const IndexDescriptor& index) {
 Status BatchedRepairHits(Client* client, OpStats* stats,
                          const std::string& base_table,
                          const IndexDescriptor& index,
-                         std::vector<IndexHit>* hits) {
+                         std::vector<IndexHit>* hits,
+                         std::vector<RowResult>* rows) {
   if (hits->empty()) return Status::OK();
   obs::MetricsRegistry* metrics = client->metrics();
   obs::SpanTimer span(metrics, client->traces(), "query.repair");
 
   const std::vector<std::string> columns = VerificationColumns(index);
 
-  // One flat key list; Client::MultiGet groups it into one RPC per
-  // owning server.
-  std::vector<MultiGetKey> keys;
-  keys.reserve(hits->size() * columns.size());
-  for (const auto& hit : *hits) {
-    for (const auto& column : columns) {
-      keys.push_back(MultiGetKey{hit.base_row, column});
+  // Without fetched rows, read the verification columns: one flat key
+  // list that Client::MultiGet groups into one RPC per owning server.
+  std::vector<MultiGetEntry> entries;
+  size_t batch = hits->size();
+  if (rows == nullptr) {
+    std::vector<MultiGetKey> keys;
+    keys.reserve(hits->size() * columns.size());
+    for (const auto& hit : *hits) {
+      for (const auto& column : columns) {
+        keys.push_back(MultiGetKey{hit.base_row, column});
+      }
+    }
+    DIFFINDEX_RETURN_NOT_OK(
+        client->MultiGet(base_table, keys, kMaxTimestamp, &entries));
+    batch = keys.size();
+    if (stats != nullptr) {
+      for (size_t i = 0; i < keys.size(); i++) stats->AddBaseRead();
+    }
+    if (metrics != nullptr) {
+      metrics->GetCounter("query.base_reads")->Add(keys.size());
     }
   }
-  std::vector<MultiGetEntry> entries;
-  DIFFINDEX_RETURN_NOT_OK(
-      client->MultiGet(base_table, keys, kMaxTimestamp, &entries));
-  if (stats != nullptr) {
-    for (size_t i = 0; i < keys.size(); i++) stats->AddBaseRead();
-  }
   if (metrics != nullptr) {
-    metrics->GetCounter("query.base_reads")->Add(keys.size());
     metrics->GetCounter("query.repair.checked")->Add(hits->size());
-    metrics->GetHistogram("query.repair.batch_size")->Add(keys.size());
+    metrics->GetHistogram("query.repair.batch_size")->Add(batch);
   }
 
-  // Hits that survive are compacted to the front of *hits.
+  // Current base value of hit i's verification column c; null if absent.
+  auto current = [&](size_t i, size_t c) -> const std::string* {
+    if (rows == nullptr) {
+      const MultiGetEntry& entry = entries[i * columns.size() + c];
+      return entry.found ? &entry.value : nullptr;
+    }
+    for (const RowCell& cell : (*rows)[i].cells) {
+      if (cell.column == columns[c]) return &cell.value;
+    }
+    return nullptr;
+  };
+
+  // Hits that survive (and their rows) are compacted to the front.
   size_t kept = 0;
   std::vector<PutRequest> tombstones;
   std::vector<std::string> components;
-  size_t cursor = 0;
   for (size_t i = 0; i < hits->size(); i++) {
     IndexHit& hit = (*hits)[i];
     components.clear();
     bool missing = false;
-    for (const auto& column : columns) {
-      MultiGetEntry& entry = entries[cursor++];
-      if (!entry.found) {
+    for (size_t c = 0; c < columns.size(); c++) {
+      const std::string* value = current(i, c);
+      if (value == nullptr) {
         missing = true;
-        continue;  // remaining columns were fetched anyway; skip them
+        break;
       }
       std::string component;
-      if (column == index.column) {
-        Status s = IndexComponentFromCell(index, entry.value, &component);
+      if (c == 0) {
+        Status s = IndexComponentFromCell(index, *value, &component);
         if (s.IsNotFound()) {
           missing = true;
-          continue;
+          break;
         }
         DIFFINDEX_RETURN_NOT_OK(s);
       } else {
-        component = std::move(entry.value);
+        component = *value;
       }
       components.push_back(std::move(component));
     }
@@ -88,7 +106,10 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
                          : EncodeCompositeIndexValue(components) ==
                                hit.value_encoded);
     if (live) {
-      if (kept != i) (*hits)[kept] = std::move(hit);
+      if (kept != i) {
+        (*hits)[kept] = std::move(hit);
+        if (rows != nullptr) (*rows)[kept] = std::move((*rows)[i]);
+      }
       kept++;
       continue;
     }
@@ -111,6 +132,7 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
     client->MultiPutBatch(std::move(tombstones)).IgnoreError();
   }
   hits->resize(kept);
+  if (rows != nullptr) rows->resize(kept);
   return Status::OK();
 }
 

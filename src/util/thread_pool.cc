@@ -22,6 +22,47 @@ bool ThreadPool::Submit(std::function<void()> task) {
   return true;
 }
 
+namespace {
+
+// Completion latch for one RunAll call: Wait() returns once every
+// submitted task has called CountDown().
+class Latch {
+ public:
+  explicit Latch(size_t n) : remaining_(n) {}
+
+  void CountDown() {
+    MutexLock lock(mu_);
+    if (--remaining_ == 0) cv_.SignalAll();
+  }
+
+  void Wait() {
+    MutexLock lock(mu_);
+    cv_.Wait(mu_, [this]() REQUIRES(mu_) { return remaining_ == 0; });
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  size_t remaining_ GUARDED_BY(mu_);
+};
+
+}  // namespace
+
+void ThreadPool::RunAll(std::vector<std::function<void()>> tasks) {
+  if (tasks.empty()) return;
+  Latch latch(tasks.size() - 1);
+  for (size_t i = 0; i + 1 < tasks.size(); i++) {
+    std::function<void()>& task = tasks[i];
+    auto counted = [&task, &latch]() {
+      task();
+      latch.CountDown();
+    };
+    if (!Submit(counted)) counted();  // shutting down: run inline
+  }
+  tasks.back()();
+  latch.Wait();
+}
+
 void ThreadPool::Wait() {
   MutexLock lock(mu_);
   idle_cv_.Wait(mu_, [this]() REQUIRES(mu_) {

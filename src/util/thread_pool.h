@@ -1,5 +1,6 @@
-// Fixed-size thread pool used for background LSM work (flush, compaction)
-// and for the asynchronous processing service (APS) that drains the AUQ.
+// Fixed-size thread pool used for background LSM work (flush, compaction),
+// for the asynchronous processing service (APS) that drains the AUQ, and
+// for the read engine's fan-out (RunAll).
 
 #ifndef DIFFINDEX_UTIL_THREAD_POOL_H_
 #define DIFFINDEX_UTIL_THREAD_POOL_H_
@@ -25,6 +26,13 @@ class ThreadPool {
 
   // Enqueues a task. Returns false if the pool is shutting down.
   bool Submit(std::function<void()> task) EXCLUDES(mu_);
+
+  // Runs every task and returns once all of them have finished: all but
+  // the last are submitted to the pool and the calling thread runs the
+  // last itself (and any task the pool refuses while shutting down).
+  // Tasks must not wait on other pool work. Cheaper than Wait(), which
+  // drains the whole shared queue.
+  void RunAll(std::vector<std::function<void()>> tasks) EXCLUDES(mu_);
 
   // Blocks until the queue is empty and all workers are idle.
   void Wait() EXCLUDES(mu_);

@@ -76,7 +76,7 @@ TEST_F(ClusterTest, MultiColumnRow) {
                          Cell{"price", "99", false},
                          Cell{"stock", "5", false}})
                   .ok());
-  GetRowResponse row;
+  RowResult row;
   ASSERT_TRUE(client_->GetRow("items", "aa-row", kMaxTimestamp, &row).ok());
   ASSERT_TRUE(row.found);
   EXPECT_EQ(row.cells.size(), 3u);

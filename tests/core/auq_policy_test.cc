@@ -304,7 +304,7 @@ TEST(AuqPolicyTest, ShedKeepsAckedBaseWritesReadable) {
   // The acked base writes are all there; only index maintenance was shed,
   // and each shed task has a dead-letter record for repair.
   for (int i = 0; i < 40; i++) {
-    GetRowResponse row;
+    RowResult row;
     ASSERT_TRUE(client->raw_client()
                     ->GetRow("items", "r" + std::to_string(i),
                              kMaxTimestamp, &row)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/fabric.h"
+#include "util/coding.h"
 
 namespace diffindex {
 namespace {
@@ -89,6 +90,74 @@ TEST(MessageTest, ScanRowsRoundTrip) {
   ASSERT_TRUE(ScanRowsResponse::DecodeFrom(&in, &decoded));
   ASSERT_EQ(decoded.rows.size(), 2u);
   EXPECT_EQ(decoded.rows[1].cells[1].value, "v3");
+}
+
+TEST(MessageTest, GetRowBatchRoundTrip) {
+  GetRowRequest req;
+  req.table = "items";
+  req.read_ts = 99;
+  req.rows = {"r1", "r2", "r1"};  // a batch may repeat a row
+  std::string buf;
+  req.EncodeTo(&buf);
+  Slice in(buf);
+  GetRowRequest decoded_req;
+  ASSERT_TRUE(GetRowRequest::DecodeFrom(&in, &decoded_req));
+  EXPECT_EQ(decoded_req.table, "items");
+  EXPECT_EQ(decoded_req.read_ts, 99u);
+  EXPECT_EQ(decoded_req.rows, req.rows);
+  EXPECT_TRUE(in.empty());
+
+  GetRowResponse resp;
+  resp.rows = {RowResult{true, {RowCell{"c1", "v1", 1}}},
+               RowResult{false, {}},
+               RowResult{true, {RowCell{"c1", "v2", 2},
+                                RowCell{"c2", "v3", 3}}}};
+  buf.clear();
+  resp.EncodeTo(&buf);
+  in = Slice(buf);
+  GetRowResponse decoded;
+  ASSERT_TRUE(GetRowResponse::DecodeFrom(&in, &decoded));
+  ASSERT_EQ(decoded.rows.size(), 3u);
+  EXPECT_TRUE(decoded.rows[0].found);
+  EXPECT_FALSE(decoded.rows[1].found);
+  EXPECT_TRUE(decoded.rows[1].cells.empty());
+  ASSERT_EQ(decoded.rows[2].cells.size(), 2u);
+  EXPECT_EQ(decoded.rows[2].cells[1].column, "c2");
+  EXPECT_EQ(decoded.rows[2].cells[1].value, "v3");
+  EXPECT_EQ(decoded.rows[2].cells[1].ts, 3u);
+  EXPECT_TRUE(in.empty());
+}
+
+// A declared row count larger than the bytes that follow is rejected
+// before it sizes any vector: decoding must fail, not allocate billions
+// of rows.
+TEST(MessageTest, GetRowInflatedRowCountFailsToDecode) {
+  std::string req_buf;
+  PutLengthPrefixedSlice(&req_buf, "items");
+  PutFixed64(&req_buf, kMaxTimestamp);
+  PutVarint32(&req_buf, 0xFFFFFFF0u);
+  PutLengthPrefixedSlice(&req_buf, "r1");
+  Slice in(req_buf);
+  GetRowRequest req;
+  EXPECT_FALSE(GetRowRequest::DecodeFrom(&in, &req));
+  EXPECT_TRUE(req.rows.empty());
+
+  std::string resp_buf;
+  PutVarint32(&resp_buf, 0xFFFFFFF0u);
+  resp_buf.push_back(1);
+  PutVarint32(&resp_buf, 0);
+  in = Slice(resp_buf);
+  GetRowResponse resp;
+  EXPECT_FALSE(GetRowResponse::DecodeFrom(&in, &resp));
+  EXPECT_TRUE(resp.rows.empty());
+
+  // The same inflation one level down, in a row's cell count.
+  resp_buf.clear();
+  PutVarint32(&resp_buf, 1);
+  resp_buf.push_back(1);
+  PutVarint32(&resp_buf, 0xFFFFFFF0u);
+  in = Slice(resp_buf);
+  EXPECT_FALSE(GetRowResponse::DecodeFrom(&in, &resp));
 }
 
 TEST(MessageTest, LayoutRoundTrip) {

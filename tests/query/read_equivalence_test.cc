@@ -131,7 +131,7 @@ void ModelExpectation(TestCluster* tc, std::vector<IndexHit>* hits,
   hits->clear();
   rows->clear();
   for (const auto& [row, value] : tc->model) {
-    GetRowResponse resp;
+    RowResult resp;
     ASSERT_TRUE(tc->client->raw_client()
                     ->GetRow(kTable, row, kMaxTimestamp, &resp)
                     .ok());
@@ -217,8 +217,9 @@ std::set<std::pair<std::string, std::string>> RawIndexState(
 class ReadEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 // Every read path — RangeByIndex, GetByIndex per value, the engine's
-// uncovered and covered scans — returns exactly the model's state on the
-// same settled cluster, under every scheme.
+// uncovered scan (row batches on the pool and inline) and covered scan —
+// returns exactly the model's state on the same settled cluster, under
+// every scheme.
 TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
   const uint64_t seed = 0x5CA11ED0ULL + static_cast<uint64_t>(GetParam());
   for (IndexScheme scheme :
@@ -258,6 +259,15 @@ TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
     ASSERT_TRUE(engine->ScanByIndex(spec, uncovered, &rows, &hits).ok());
     ExpectSameHits(hits, want_hits, "uncovered");
     ExpectSameRows(rows, want_rows, "uncovered");
+
+    // The same uncovered scan with its row batches run inline (the model
+    // checker's and DiffIndexClient's mode) instead of on the pool.
+    ScanOptions uncovered_inline = uncovered;
+    uncovered_inline.max_parallel = 1;
+    ASSERT_TRUE(
+        engine->ScanByIndex(spec, uncovered_inline, &rows, &hits).ok());
+    ExpectSameHits(hits, want_hits, "uncovered inline");
+    ExpectSameRows(rows, want_rows, "uncovered inline");
 
     ScanOptions covered;
     covered.page_entries = 5;

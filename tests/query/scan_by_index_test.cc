@@ -2,8 +2,10 @@
 // range scans checked against the fixture's ground truth (the rows it
 // wrote), cursor resumability across scanner instances, covered
 // projections (zero base reads), batched read-repair for sync-insert and
-// its deterministic RPC cost, Corruption on undecodable index rows, and
-// fault handling at the merge seam and on the wire.
+// the deterministic RPC cost of its hits-only and uncovered-page forms,
+// per-server row batches across a base-region move, the trace context of
+// pool legs, Corruption on undecodable index rows, and fault handling at
+// the merge seam and on the wire.
 //
 // Indexed values here are plain hex-prefixed strings: they contain no
 // 0x00/0x01 bytes, so the codec escape leaves them untouched and the
@@ -95,7 +97,7 @@ class ScanByIndexTest : public ::testing::Test {
     std::vector<IndexHit> hits;
     for (const auto& [row, value] : truth_) {
       if (value < lo || (!hi.empty() && value >= hi)) continue;
-      GetRowResponse resp;
+      RowResult resp;
       EXPECT_TRUE(client_->raw_client()
                       ->GetRow(kTable, row, kMaxTimestamp, &resp)
                       .ok());
@@ -515,6 +517,161 @@ TEST_F(ScanByIndexTest, SyncInsertRangeByIndexBatchesRepairPerServer) {
   EXPECT_EQ(RawIndexState(), live);
 }
 
+// Table-2 cost of one uncovered sync-insert scan page, on deterministic
+// counters: its K = 40 hits (10 stale) fetch their base rows with at most
+// one kGetRow call per base server, are verified against those rows (no
+// MultiGet), and cost K base reads in all — inline (max_parallel = 1)
+// and with the per-server batches on the pool (max_parallel = 4). The
+// stale entries are gone afterwards and the rows are the model's.
+TEST_F(ScanByIndexTest, SyncInsertUncoveredPageFetchesOneRowBatchPerServer) {
+  Setup(IndexScheme::kSyncInsert);
+  LoadRows(30);
+  const uint64_t k = 40;  // 30 live + 10 stale entries in the index
+  const uint64_t servers = cluster_->server_ids().size();
+  ASSERT_EQ(servers, 3u);
+
+  ReadEngine engine(client_.get());
+  int round = 0;
+  for (int max_parallel : {1, 4}) {
+    SCOPED_TRACE("max_parallel=" + std::to_string(max_parallel));
+    round++;
+    // Overwrite every 3rd row: its current entry goes stale.
+    for (int i = 0; i < 30; i += 3) {
+      const std::string value = ValName(100 * round + i);
+      ASSERT_TRUE(
+          client_->PutColumn(kTable, RowName(i), kColumn, value).ok());
+      truth_[RowName(i)] = value;
+    }
+    const std::vector<IndexHit> want = Reference("", "");
+
+    ScanOptions options;
+    options.page_entries = 0;  // one page over the whole range
+    options.max_parallel = max_parallel;
+    std::unique_ptr<IndexScanner> scanner;
+    ASSERT_TRUE(engine.NewScan(Spec(), options, &scanner).ok());
+
+    const uint64_t get_row_before = CounterValue("rpc.get_row.calls");
+    const uint64_t multi_get_before = CounterValue("rpc.multi_get.calls");
+    const uint64_t base_reads_before = CounterValue("query.base_reads");
+    const uint64_t checked_before = CounterValue("query.repair.checked");
+    const OpStats::Snapshot before = cluster_->stats()->snapshot();
+    ScanPage page;
+    ASSERT_TRUE(scanner->NextPage(&page).ok());
+    const OpStats::Snapshot after = cluster_->stats()->snapshot();
+    EXPECT_TRUE(scanner->exhausted());
+
+    EXPECT_LE(CounterValue("rpc.get_row.calls") - get_row_before, servers);
+    EXPECT_EQ(CounterValue("rpc.multi_get.calls") - multi_get_before, 0u);
+    EXPECT_EQ(CounterValue("query.base_reads") - base_reads_before, k);
+    EXPECT_EQ(after.base_read - before.base_read, k);
+    EXPECT_EQ(CounterValue("query.repair.checked") - checked_before, k);
+
+    ExpectSameHits(page.hits, want);
+    ASSERT_EQ(page.rows.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) {
+      EXPECT_EQ(page.rows[i].row, want[i].base_row) << "row " << i;
+      ASSERT_EQ(page.rows[i].cells.size(), 1u) << "row " << i;
+      EXPECT_EQ(page.rows[i].cells[0].column, kColumn);
+      EXPECT_EQ(page.rows[i].cells[0].value, truth_[want[i].base_row]);
+      EXPECT_EQ(page.rows[i].cells[0].ts, want[i].ts);
+    }
+
+    std::set<std::pair<std::string, std::string>> live;
+    for (const auto& [row, value] : truth_) live.emplace(value, row);
+    EXPECT_EQ(RawIndexState(), live);
+  }
+}
+
+// Moving every base-table region mid-scan leaves the client's cached
+// routes stale: the next page's row batches land on servers that no
+// longer serve their rows, fail with WrongRegion, and the client
+// refreshes, regroups and retries them. The scan still returns exactly
+// the model's rows.
+TEST_F(ScanByIndexTest, UncoveredScanSurvivesBaseRegionMove) {
+  Setup(IndexScheme::kSyncInsert);
+  LoadRows(60);
+  const std::vector<IndexHit> want = Reference("", "");
+
+  ReadEngine engine(client_.get());
+  ScanOptions options;
+  options.page_entries = 8;
+  std::unique_ptr<IndexScanner> scanner;
+  ASSERT_TRUE(engine.NewScan(Spec(), options, &scanner).ok());
+
+  std::vector<IndexHit> hits;
+  std::vector<ScannedRow> rows;
+  ScanPage page;
+  ASSERT_TRUE(scanner->NextPage(&page).ok());
+  hits.insert(hits.end(), page.hits.begin(), page.hits.end());
+  rows.insert(rows.end(), page.rows.begin(), page.rows.end());
+
+  for (const RegionInfoWire& region :
+       client_->raw_client()->TableRegions(kTable)) {
+    NodeId target = region.server_id;
+    for (NodeId id : cluster_->server_ids()) {
+      if (id != region.server_id) target = id;
+    }
+    ASSERT_TRUE(
+        cluster_->master()->MoveRegion(kTable, region.region_id, target).ok());
+  }
+
+  const uint64_t retries_before = CounterValue("client.retries");
+  while (!scanner->exhausted()) {
+    ASSERT_TRUE(scanner->NextPage(&page).ok());
+    hits.insert(hits.end(), page.hits.begin(), page.hits.end());
+    rows.insert(rows.end(), page.rows.begin(), page.rows.end());
+  }
+  EXPECT_GE(CounterValue("client.retries") - retries_before, 1u);
+
+  ExpectSameHits(hits, want);
+  ASSERT_EQ(rows.size(), want.size());
+  for (size_t i = 0; i < want.size(); i++) {
+    EXPECT_EQ(rows[i].row, want[i].base_row) << "row " << i;
+    ASSERT_EQ(rows[i].cells.size(), 1u) << "row " << i;
+    EXPECT_EQ(rows[i].cells[0].value, truth_[want[i].base_row]);
+    EXPECT_EQ(rows[i].cells[0].ts, want[i].ts);
+  }
+}
+
+// Pool legs run under the scan's trace context: with max_parallel = 4,
+// every index-scan leg (one per index region, four here) and every
+// per-server row batch records its RPC span with the scan's scheme label
+// and as a child of the page's query.page span — exactly like an inline
+// leg.
+TEST_F(ScanByIndexTest, PoolLegsKeepTheScanTraceContext) {
+  Setup(IndexScheme::kSyncInsert);
+  LoadRows(40);
+  cluster_->traces()->Clear();
+
+  ReadEngine engine(client_.get());
+  ScanOptions options;
+  options.page_entries = 0;  // one page: four index legs, three row batches
+  options.max_parallel = 4;
+  std::vector<ScannedRow> rows;
+  ASSERT_TRUE(engine.ScanByIndex(Spec(), options, &rows).ok());
+  ASSERT_EQ(rows.size(), 40u);
+
+  const std::vector<obs::SpanRecord> spans = cluster_->traces()->AllSpans();
+  const obs::SpanRecord* page = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "query.page") page = &span;
+  }
+  ASSERT_NE(page, nullptr);
+  EXPECT_EQ(page->scheme, "sync-insert");
+
+  size_t index_scans = 0, get_rows = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "rpc.index_scan" && span.name != "rpc.get_row") continue;
+    (span.name == "rpc.index_scan" ? index_scans : get_rows)++;
+    EXPECT_EQ(span.scheme, "sync-insert") << span.name;
+    EXPECT_EQ(span.trace_id, page->trace_id) << span.name;
+    EXPECT_EQ(span.parent_span_id, page->span_id) << span.name;
+  }
+  EXPECT_EQ(index_scans, 4u);
+  EXPECT_GE(get_rows, 2u);
+  EXPECT_LE(get_rows, cluster_->server_ids().size());
+}
+
 // An index row that does not decode (here: no value/row terminator) is
 // Corruption on every read path whose range covers it — never silently
 // dropped. Ranges that do not cover it still read normally.
@@ -590,6 +747,13 @@ TEST_F(ScanByIndexTest, SessionScanMergesPrivateEntries) {
     got.emplace(hit.value_encoded, hit.base_row);
   }
   EXPECT_EQ(got, truth);
+  // Merged hits' rows come from the page's row batch like any other.
+  ASSERT_EQ(rows.size(), hits.size());
+  for (size_t i = 0; i < rows.size(); i++) {
+    EXPECT_EQ(rows[i].row, hits[i].base_row);
+    ASSERT_EQ(rows[i].cells.size(), 1u);
+    EXPECT_EQ(rows[i].cells[0].value, hits[i].value_encoded);
+  }
 
   std::vector<IndexHit> reference;
   ASSERT_TRUE(client_

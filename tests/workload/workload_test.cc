@@ -63,7 +63,7 @@ TEST_F(WorkloadTest, CreateAndLoadMakesRowsQueryable) {
   ASSERT_TRUE(items.Create().ok());
   auto client = cluster_->NewClient();
   ASSERT_TRUE(items.Load(client.get()).ok());
-  GetRowResponse row;
+  RowResult row;
   ASSERT_TRUE(
       client->GetRow("item", items.RowKey(7), kMaxTimestamp, &row).ok());
   EXPECT_TRUE(row.found);
