@@ -270,8 +270,6 @@ class RegionServer {
   Status HandleGetCell(Slice body, std::string* response);
   Status HandleGetRow(Slice body, std::string* response);
   Status HandleScanRows(Slice body, std::string* response);
-  Status HandleRawScan(Slice body, std::string* response);
-  Status HandleRawDelete(Slice body, std::string* response);
   Status HandleRegionAdmin(MsgType type, Slice body);
   Status HandleLocalIndexScan(Slice body, std::string* response);
   Status HandleMultiGet(Slice body, std::string* response);

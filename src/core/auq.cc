@@ -16,10 +16,8 @@
 namespace diffindex {
 
 AsyncUpdateQueue::AsyncUpdateQueue(const AuqOptions& options,
-                                   Processor processor,
-                                   BatchProcessor batch_processor)
-    : options_(options), processor_(std::move(processor)),
-      batch_processor_(std::move(batch_processor)) {
+                                   Processor processor)
+    : options_(options), processor_(std::move(processor)) {
   if (options_.metrics != nullptr) {
     depth_gauge_ = options_.metrics->GetGauge("auq.depth");
     dead_letter_gauge_ = options_.metrics->GetGauge("auq.dead_letters");
@@ -226,158 +224,37 @@ void AsyncUpdateQueue::WorkerLoop() {
   // Under the model checker, workers are daemon threads: they park on
   // the empty queue at quiescence and do not block run completion.
   CHECK_REGISTER_DAEMON("auq.worker");
-  if (options_.drain_batch_size > 1) {
-    // Batched drain: pop up to drain_batch_size tasks at once and hand
-    // them to ProcessBatch. Draining proceeds regardless of Pause() —
-    // pause blocks intake only — and every popped task counts as
-    // in-flight (including ones it coalesced away earlier), so
-    // WaitDrained observes whole batches (§5.3).
-    for (;;) {
-      std::vector<IndexTask> batch;
-      {
-        MutexLock lock(mu_);
-        work_cv_.Wait(mu_, [this]() REQUIRES(mu_) {
-          return shutdown_ || !queue_.empty();
-        });
-        if (queue_.empty()) {
-          if (shutdown_) return;
-          continue;
-        }
-        const size_t n =
-            std::min(queue_.size(),
-                     static_cast<size_t>(options_.drain_batch_size));
-        batch.reserve(n);
-        for (size_t i = 0; i < n; i++) {
-          in_flight_ += 1 + queue_.front().absorbed;
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-      }
-      if (batch_size_hist_ != nullptr) batch_size_hist_->Add(batch.size());
-      // The batch is popped but not yet applied: enqueues landing here
-      // miss this drain unit (they coalesce into the next).
-      CHECK_YIELD_RES("auq.drain.pop", &mu_);
-      ProcessBatch(std::move(batch));
-    }
-  }
+  // Each pass pops one drain unit of up to drain_batch_size tasks and
+  // hands it to ProcessBatch. Draining proceeds regardless of Pause() —
+  // pause blocks intake only — and every popped task counts as in-flight
+  // (including ones it coalesced away earlier), so WaitDrained observes
+  // whole drain units (§5.3).
+  const size_t unit_cap =
+      static_cast<size_t>(std::max(options_.drain_batch_size, 1));
   for (;;) {
-    IndexTask task;
+    std::vector<IndexTask> batch;
     {
       MutexLock lock(mu_);
-      work_cv_.Wait(mu_,
-                    [this]() REQUIRES(mu_) { return shutdown_ || !queue_.empty(); });
+      work_cv_.Wait(mu_, [this]() REQUIRES(mu_) {
+        return shutdown_ || !queue_.empty();
+      });
       if (queue_.empty()) {
         if (shutdown_) return;
         continue;
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      in_flight_++;
-    }
-    // The task is in flight but not yet applied (the AU2..AU4 window of
-    // Algorithm 4): base reads racing the apply interleave here.
-    CHECK_YIELD_RES("auq.process.begin", &mu_);
-
-    if (options_.process_delay_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.process_delay_ms));
-    }
-
-    Status s = fault::FailpointRegistry::Global()->MaybeFail("auq.process");
-    if (s.ok()) {
-      // The task carries the trace of the base put that spawned it, so
-      // the APS work appears as a child span of the client's request.
-      obs::ScopedTraceContext scope(task.trace.active()
-                                        ? task.trace.Child()
-                                        : obs::TraceContext());
-      obs::SpanTimer span(options_.metrics, options_.traces, "aps.task");
-      const uint64_t start = TimestampOracle::NowMicros();
-      s = processor_(task);
-      if (s.ok() && task_micros_hist_ != nullptr) {
-        const uint64_t end = TimestampOracle::NowMicros();
-        task_micros_hist_->Add(end > start ? end - start : 0);
+      const size_t n = std::min(queue_.size(), unit_cap);
+      batch.reserve(n);
+      for (size_t i = 0; i < n; i++) {
+        in_flight_ += 1 + queue_.front().absorbed;
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
       }
     }
-
-    if (s.ok()) {
-      processed_.fetch_add(1, std::memory_order_relaxed);
-      if (processed_counter_ != nullptr) processed_counter_->Add();
-      if (depth_gauge_ != nullptr) depth_gauge_->Sub(1);
-      const uint64_t count =
-          task_counter_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.staleness_sample_every > 0 &&
-          count % static_cast<uint64_t>(options_.staleness_sample_every) ==
-              0) {
-        // T2 - T1: base-entry timestamp vs. moment the index update
-        // completed, both in microseconds on the same clock.
-        const Timestamp now = TimestampOracle::NowMicros();
-        if (now > task.ts) {
-          staleness_.Add(now - task.ts);
-          if (staleness_hist_ != nullptr) staleness_hist_->Add(now - task.ts);
-        }
-      }
-      MutexLock lock(mu_);
-      in_flight_--;
-      if (queue_.empty() && in_flight_ == 0) drained_cv_.SignalAll();
-      intake_cv_.Signal();  // capacity freed
-      continue;
-    }
-
-    // Failure: retry with backoff until eventual success (the queue keeps
-    // the task in_flight through the backoff so WaitDrained stays honest).
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    if (retries_counter_ != nullptr) retries_counter_->Add();
-    task.attempts++;
-    if (options_.max_attempts > 0 && task.attempts >= options_.max_attempts) {
-      // Full key context at escape time: the dead-letter list is
-      // in-memory only, so if this server later crashes this line is the
-      // only durable record an operator (or a Cleanse run) can repair
-      // from.
-      DIFFINDEX_LOG_WARN << "auq: dead-lettering task for index '"
-                         << task.index.name << "' base table '"
-                         << task.base_table << "' row '" << task.row
-                         << "' ts " << task.ts << " after " << task.attempts
-                         << " attempts: " << s.ToString();
-      MutexLock lock(mu_);
-      // "auq.dead_letter" models a crash between the escape decision and
-      // the in-memory record landing: the task is already off the queue,
-      // its base write stays acked, and only the warning line above
-      // survives. Only the chaos harness arms it; a Cleanse sweep or
-      // WAL-replay recovery must re-create the index work.
-      if (fault::FailpointRegistry::Global()->Fires("auq.dead_letter")) {
-        if (depth_gauge_ != nullptr) depth_gauge_->Sub(1);
-        in_flight_--;
-        if (queue_.empty() && in_flight_ == 0) drained_cv_.SignalAll();
-        intake_cv_.Signal();
-        continue;
-      }
-      dead_letters_.push_back(std::move(task));
-      if (dead_letter_gauge_ != nullptr) dead_letter_gauge_->Add(1);
-      if (depth_gauge_ != nullptr) depth_gauge_->Sub(1);
-      in_flight_--;
-      if (queue_.empty() && in_flight_ == 0) drained_cv_.SignalAll();
-      intake_cv_.Signal();
-      continue;
-    }
-    const int backoff_ms =
-        std::min(task.attempts, 8) * options_.retry_backoff_ms;
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    {
-      MutexLock lock(mu_);
-      if (abandoned_) {
-        // The queue was abandoned (crash) while this task was in flight:
-        // it dies undelivered, like the rest of the backlog.
-        if (depth_gauge_ != nullptr) depth_gauge_->Sub(1);
-        in_flight_--;
-        if (queue_.empty() && in_flight_ == 0) drained_cv_.SignalAll();
-        continue;
-      }
-      // Internal requeue ignores pause: the task is already part of the
-      // pending set a drain must wait for.
-      queue_.push_back(std::move(task));
-      in_flight_--;
-      work_cv_.Signal();
-    }
+    if (batch_size_hist_ != nullptr) batch_size_hist_->Add(batch.size());
+    // The unit is popped but not yet applied: enqueues landing here miss
+    // this drain unit (they coalesce into the next).
+    CHECK_YIELD_RES("auq.drain.pop", &mu_);
+    ProcessBatch(std::move(batch));
   }
 }
 
@@ -454,11 +331,13 @@ void AsyncUpdateQueue::ProcessBatch(std::vector<IndexTask> batch) {
   }
 
   std::vector<Status> statuses(survivors.size(), Status::OK());
-  Status batch_status =
-      fault::FailpointRegistry::Global()->MaybeFail("auq.batch");
-  if (batch_status.ok()) {
-    // The batch is one APS drain unit: chain its span to the first traced
-    // member (a batch mixes many client requests; one parent is picked).
+  // "auq.process" fails (or, under a Crash policy, crashes) the whole
+  // drain unit before the processor runs; every member is retried.
+  Status unit_status =
+      fault::FailpointRegistry::Global()->MaybeFail("auq.process");
+  if (unit_status.ok()) {
+    // Chain the drain unit's span to its first traced member (a unit
+    // mixes many client requests; one parent is picked).
     const IndexTask* traced = nullptr;
     for (const IndexTask& task : survivors) {
       if (task.trace.active()) {
@@ -470,13 +349,7 @@ void AsyncUpdateQueue::ProcessBatch(std::vector<IndexTask> batch) {
                                                     : obs::TraceContext());
     obs::SpanTimer span(options_.metrics, options_.traces, "aps.task");
     const uint64_t start = TimestampOracle::NowMicros();
-    if (batch_processor_ != nullptr) {
-      batch_processor_(survivors, &statuses);
-    } else {
-      for (size_t i = 0; i < survivors.size(); i++) {
-        statuses[i] = processor_(survivors[i]);
-      }
-    }
+    processor_(survivors, &statuses);
     bool any_ok = false;
     for (const Status& s : statuses) {
       if (s.ok()) any_ok = true;
@@ -486,7 +359,7 @@ void AsyncUpdateQueue::ProcessBatch(std::vector<IndexTask> batch) {
       task_micros_hist_->Add(end > start ? end - start : 0);
     }
   } else {
-    for (Status& s : statuses) s = batch_status;
+    for (Status& s : statuses) s = unit_status;
   }
 
   // Terminal accounting. A survivor stands for 1 + absorbed accepted
@@ -524,18 +397,23 @@ void AsyncUpdateQueue::ProcessBatch(std::vector<IndexTask> batch) {
     if (retries_counter_ != nullptr) retries_counter_->Add();
     task.attempts++;
     if (options_.max_attempts > 0 && task.attempts >= options_.max_attempts) {
-      // Same escape-time contract as the unbatched path: log the full
-      // key so the task is reconstructible after a crash loses the
-      // in-memory dead-letter list.
+      // Full key context at escape time: the dead-letter list is
+      // in-memory only, so if this server later crashes this line is the
+      // only durable record an operator (or a Cleanse run) can repair
+      // from.
       DIFFINDEX_LOG_WARN << "auq: dead-lettering task for index '"
                          << task.index.name << "' base table '"
                          << task.base_table << "' row '" << task.row
                          << "' ts " << task.ts << " after " << task.attempts
                          << " attempts: " << statuses[i].ToString();
       MutexLock lock(mu_);
-      // Same crash window as the unbatched escape: see "auq.dead_letter"
-      // in WorkerLoop. The batch bookkeeping must still run or the
-      // in-flight count wedges WaitDrained.
+      // "auq.dead_letter" models a crash between the escape decision and
+      // the in-memory record landing: the task is already off the queue,
+      // its base write stays acked, and only the warning line above
+      // survives. Only the chaos harness arms it; a Cleanse sweep or
+      // WAL-replay recovery must re-create the index work. The queue
+      // bookkeeping must still run or the in-flight count wedges
+      // WaitDrained.
       if (fault::FailpointRegistry::Global()->Fires("auq.dead_letter")) {
         if (depth_gauge_ != nullptr) depth_gauge_->Sub(count);
         in_flight_ -= count;
@@ -555,9 +433,9 @@ void AsyncUpdateQueue::ProcessBatch(std::vector<IndexTask> batch) {
   }
   if (requeue.empty()) return;
 
-  // One backoff per failed batch (the failures share a cause: the index
-  // region is down or the batched RPC bounced). The tasks stay in-flight
-  // through the sleep so WaitDrained stays honest.
+  // One backoff per failed drain unit (the failures share a cause: the
+  // index region is down or the batched RPC bounced). The tasks stay
+  // in-flight through the sleep so WaitDrained stays honest.
   int worst_attempts = 0;
   for (const IndexTask& task : requeue) {
     worst_attempts = std::max(worst_attempts, task.attempts);
@@ -568,7 +446,8 @@ void AsyncUpdateQueue::ProcessBatch(std::vector<IndexTask> batch) {
   for (IndexTask& task : requeue) {
     const int count = 1 + task.absorbed;
     if (abandoned_) {
-      // Abandoned (crash) mid-batch: the backlog dies undelivered.
+      // Abandoned (crash) while in flight: the task dies undelivered,
+      // like the rest of the backlog.
       if (depth_gauge_ != nullptr) depth_gauge_->Sub(count);
       in_flight_ -= count;
       continue;

@@ -96,9 +96,9 @@ struct AuqOptions {
   // call (kBlock = the historical blocking behavior). 0 = unbounded.
   size_t max_depth = 0;
   AuqOverflowPolicy overflow_policy = AuqOverflowPolicy::kBlock;
-  // Artificial per-task delay before processing — a test/bench knob that
-  // throttles the APS to magnify index staleness (Figure 11's saturated
-  // regime on demand).
+  // Artificial delay before each drain unit is processed — a test/bench
+  // knob that throttles the APS to magnify index staleness (Figure 11's
+  // saturated regime on demand).
   int process_delay_ms = 0;
   // Poison-task escape hatch: after this many failed attempts a task moves
   // to the dead-letter list (gauge `auq.dead_letters`, accessor
@@ -106,33 +106,30 @@ struct AuqOptions {
   // index descriptor was dropped mid-flight would otherwise spin forever.
   // 0 = retry forever, preserving the paper's eventual-delivery semantics.
   int max_attempts = 0;
-  // Batched drain: a worker dequeues up to this many tasks at once,
+  // Drain-unit cap: a worker dequeues up to this many tasks at once,
   // coalesces same-(index, row) tasks to the newest timestamp, and hands
-  // the survivors to the batch processor in one call. 1 = the classic
-  // one-task-per-dequeue path (default). Exports histogram
-  // `auq.batch_size` and counter `auq.coalesced`.
+  // the survivors to the processor in one call. 1 (the default) makes
+  // every task its own drain unit. Exports histogram `auq.batch_size` and
+  // counter `auq.coalesced`.
   int drain_batch_size = 1;
   // Observability sinks; either may be null. Exports gauge `auq.depth`,
   // counters `auq.enqueued/processed/retries`, histograms
-  // `auq.task_micros` (per-task processing time), `auq.staleness_micros`,
-  // and `span.aps.task.<scheme>` spans chained to the base put's trace.
+  // `auq.task_micros` (processing time per drain unit) and
+  // `auq.staleness_micros`, and `span.aps.task.<scheme>` spans chained to
+  // the base put's trace.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceCollector* traces = nullptr;
 };
 
 class AsyncUpdateQueue {
  public:
-  // The processor performs BA2-BA4 for one task; a non-OK return puts the
+  // The processor performs BA2-BA4 for the coalesced survivors of one
+  // drain unit, filling one status per task; a non-OK status puts that
   // task back for retry.
-  using Processor = std::function<Status(const IndexTask& task)>;
-  // Batched form: performs BA2-BA4 for a coalesced batch, filling one
-  // status per task. Optional — without it, a drained batch falls back to
-  // per-task Processor calls.
-  using BatchProcessor = std::function<void(const std::vector<IndexTask>& tasks,
-                                            std::vector<Status>* statuses)>;
+  using Processor = std::function<void(const std::vector<IndexTask>& tasks,
+                                       std::vector<Status>* statuses)>;
 
-  AsyncUpdateQueue(const AuqOptions& options, Processor processor,
-                   BatchProcessor batch_processor = nullptr);
+  AsyncUpdateQueue(const AuqOptions& options, Processor processor);
   ~AsyncUpdateQueue();
 
   AsyncUpdateQueue(const AsyncUpdateQueue&) = delete;
@@ -178,8 +175,8 @@ class AsyncUpdateQueue {
  private:
   void WorkerLoop();
   void ShutdownInternal(bool abandon);
-  // Processes one dequeued batch end to end (coalesce, deliver, account);
-  // the caller already incremented in_flight_ by the batch's task count.
+  // Processes one drain unit end to end (coalesce, deliver, account);
+  // the caller already incremented in_flight_ by the unit's task count.
   void ProcessBatch(std::vector<IndexTask> batch);
   // Tasks represented by the queued backlog, counting coalesced-away ones
   // (sum of 1 + absorbed) — the number the depth gauge tracks.
@@ -187,7 +184,6 @@ class AsyncUpdateQueue {
 
   const AuqOptions options_;
   const Processor processor_;
-  const BatchProcessor batch_processor_;
 
   // mu_ guards the whole queue state machine; the three CondVars wake the
   // three waiter populations. The drain-barrier invariant (§5.3):

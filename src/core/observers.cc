@@ -30,16 +30,11 @@ IndexManager::IndexManager(RegionServer* server,
                            OpStats* stats, const AuqOptions& auq_options)
     : server_(server), internal_client_(std::move(internal_client)),
       stats_(stats) {
+  // APS backend (BA2-BA4): one grouped RPC per owning server per drain
+  // unit.
   auq_ = std::make_unique<AsyncUpdateQueue>(
-      auq_options,
-      [this](const IndexTask& task) {
-        // APS backend: full processing (BA2-BA4), background stats bucket.
-        return ProcessTask(task, /*insert_only=*/false, /*foreground=*/false);
-      },
-      [this](const std::vector<IndexTask>& tasks,
-             std::vector<Status>* statuses) {
-        // Batched APS backend (drain_batch_size > 1): one grouped RPC per
-        // owning server instead of one round trip per task.
+      auq_options, [this](const std::vector<IndexTask>& tasks,
+                          std::vector<Status>* statuses) {
         ProcessTaskBatch(tasks, statuses);
       });
 }
@@ -98,8 +93,7 @@ Status IndexManager::PostApply(const PutRequest& put, Timestamp ts) {
         {
           obs::SpanTimer span(server_->metrics(), server_->traces(),
                               "rs.index_sync");
-          s = ProcessTask(task, /*insert_only=*/false,
-                          /*foreground=*/true);
+          s = ProcessTask(task, /*insert_only=*/false);
         }
         if (!s.ok()) {
           // Degrade to eventual: queue for retry, base put still succeeds.
@@ -114,8 +108,7 @@ Status IndexManager::PostApply(const PutRequest& put, Timestamp ts) {
         {
           obs::SpanTimer span(server_->metrics(), server_->traces(),
                               "rs.index_sync");
-          s = ProcessTask(task, /*insert_only=*/true,
-                          /*foreground=*/true);
+          s = ProcessTask(task, /*insert_only=*/true);
         }
         if (!s.ok()) {
           DIFFINDEX_LOG_WARN << "sync-insert index op failed ("
@@ -345,16 +338,10 @@ Status IndexManager::ResolveIndexValue(const IndexTask& task,
 }
 
 Status IndexManager::PutIndexEntry(const std::string& index_table,
-                                   const std::string& index_row, Timestamp ts,
-                                   bool foreground) {
-  if (stats_ != nullptr) {
-    if (foreground) {
-      stats_->AddIndexPut();
-    } else {
-      stats_->AddAsyncIndexPut();
-    }
-  }
-  // PI step (SU2/BA4).
+                                   const std::string& index_row,
+                                   Timestamp ts) {
+  if (stats_ != nullptr) stats_->AddIndexPut();
+  // PI step (SU2).
   DIFFINDEX_FAILPOINT("index.put");
   // Key-only entry: concatenated rowkey, null value (Section 4).
   return internal_client_->Put(index_table, index_row,
@@ -363,63 +350,55 @@ Status IndexManager::PutIndexEntry(const std::string& index_table,
 
 Status IndexManager::DeleteIndexEntry(const std::string& index_table,
                                       const std::string& index_row,
-                                      Timestamp ts, bool foreground) {
-  if (stats_ != nullptr) {
-    if (foreground) {
-      stats_->AddIndexPut();  // deletes cost the same as puts in LSM
-    } else {
-      stats_->AddAsyncIndexPut();
-    }
-  }
-  // DI step (SU4/BA3).
+                                      Timestamp ts) {
+  // Deletes cost the same as puts in LSM.
+  if (stats_ != nullptr) stats_->AddIndexPut();
+  // DI step (SU4).
   DIFFINDEX_FAILPOINT("index.delete");
   return internal_client_->Put(index_table, index_row,
                                {Cell{"", "", /*is_delete=*/true}}, ts);
 }
 
-Status IndexManager::ProcessTask(const IndexTask& task, bool insert_only,
-                                 bool foreground) {
-  // New index entry @ ts: value from the put itself (SU2/BA4). A put of a
+Status IndexManager::ProcessTask(const IndexTask& task, bool insert_only) {
+  // New index entry @ ts: value from the put itself (SU2). A put of a
   // delete-cell produces no new entry ("deletion can be treated as a put
   // with a null value").
   std::optional<std::string> new_value;
   DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(
-      task, task.ts, /*use_task_cells=*/true, foreground, &new_value));
+      task, task.ts, /*use_task_cells=*/true, /*foreground=*/true,
+      &new_value));
 
   if (new_value.has_value()) {
     const std::string new_row =
         EncodeIndexRow(*new_value, task.row);
     // PI about to land: index readers racing the entry's visibility
-    // interleave here (SU2/BA4).
+    // interleave here (SU2).
     CHECK_YIELD("index.stage.put");
     DIFFINDEX_RETURN_NOT_OK(
-        PutIndexEntry(task.index.index_table, new_row, task.ts, foreground));
+        PutIndexEntry(task.index.index_table, new_row, task.ts));
   }
 
   if (insert_only) return Status::OK();  // sync-insert stops at SU2
 
-  // SU3/BA2 + SU4/BA3, once per covered put: read the value current just
-  // before that put — RB(k, old_ts - δ); the δ matters, reading at ts
-  // would return the value just written — and delete its entry at
-  // old_ts - δ. With vold == vnew the rows coincide, but a tombstone at
-  // old_ts - δ cannot mask the new entry at ts (Section 4.3). A plain
-  // task has exactly one point (old_ts == ts); a coalesced survivor
-  // replays every absorbed task's point too.
-  for (const Timestamp old_ts : RetractionPoints(task)) {
-    // Window between PI and this anchor's DI: a reader here sees both
-    // the new and the not-yet-retracted old entry (Section 4.3 tolerates
-    // it; the terminal oracle must not).
-    CHECK_YIELD("index.retract");
-    std::optional<std::string> old_value;
-    DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(task, old_ts - kDelta,
-                                              /*use_task_cells=*/false,
-                                              foreground, &old_value));
-    if (!old_value.has_value()) continue;  // fresh insert at this point
-    const std::string old_row = EncodeIndexRow(*old_value, task.row);
-    DIFFINDEX_RETURN_NOT_OK(DeleteIndexEntry(
-        task.index.index_table, old_row, old_ts - kDelta, foreground));
-  }
-  return Status::OK();
+  // SU3 + SU4: read the value current just before the put — RB(k, ts -
+  // δ); the δ matters, reading at ts would return the value just written
+  // — and delete its entry at ts - δ. With vold == vnew the rows
+  // coincide, but a tombstone at ts - δ cannot mask the new entry at ts
+  // (Section 4.3). A sync task is never coalesced, so ts is its only
+  // retraction point.
+  //
+  // Window between PI and DI: a reader here sees both the new and the
+  // not-yet-retracted old entry (Section 4.3 tolerates it; the terminal
+  // oracle must not).
+  CHECK_YIELD("index.retract");
+  std::optional<std::string> old_value;
+  DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(task, task.ts - kDelta,
+                                            /*use_task_cells=*/false,
+                                            /*foreground=*/true, &old_value));
+  if (!old_value.has_value()) return Status::OK();  // fresh insert
+  return DeleteIndexEntry(task.index.index_table,
+                          EncodeIndexRow(*old_value, task.row),
+                          task.ts - kDelta);
 }
 
 Status IndexManager::StagePutIndexEntry(const std::string& index_table,

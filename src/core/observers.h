@@ -57,12 +57,10 @@ class IndexManager final : public IndexMaintenanceHooks {
   void Abandon();
 
  private:
-  // Applies one task synchronously (shared by sync-full foreground and the
-  // APS backend): read-old, delete-old, put-new per the scheme's needs.
-  // `insert_only` limits it to SU2 (sync-insert); `foreground` selects the
-  // stats bucket.
-  Status ProcessTask(const IndexTask& task, bool insert_only,
-                     bool foreground);
+  // Applies one task synchronously for the sync schemes, inside the base
+  // put: put-new, then read-old and delete-old. `insert_only` limits it
+  // to SU2 (sync-insert). Counts in the foreground stats bucket.
+  Status ProcessTask(const IndexTask& task, bool insert_only);
 
   // Resolves the index's component values at `read_ts` (values present in
   // `task.cells` win — they are the just-written ones at task.ts). On OK,
@@ -78,23 +76,23 @@ class IndexManager final : public IndexMaintenanceHooks {
   static bool Touches(const IndexDescriptor& index,
                       const std::vector<Cell>& cells);
 
+  // The sync schemes' PI and DI: one kPut RPC each.
   Status PutIndexEntry(const std::string& index_table,
-                       const std::string& index_row, Timestamp ts,
-                       bool foreground);
+                       const std::string& index_row, Timestamp ts);
   Status DeleteIndexEntry(const std::string& index_table,
-                          const std::string& index_row, Timestamp ts,
-                          bool foreground);
+                          const std::string& index_row, Timestamp ts);
 
-  // Batched APS backend: resolves every task's new/old values, stages the
-  // PI/DI operations, and ships them grouped by owning server in one
-  // multi-put RPC per server (Client::MultiPutBatch). One status per task;
-  // a transport failure fails every task that staged work — the retried
-  // delivery is idempotent under the same-timestamp rule.
+  // The APS backend, run once per AUQ drain unit (BA2-BA4): resolves
+  // every task's new/old values, stages the PI/DI operations, and ships
+  // them grouped by owning server in one multi-put RPC per server
+  // (Client::MultiPutBatch). One status per task; a transport failure
+  // fails every task that staged work — the retried delivery is
+  // idempotent under the same-timestamp rule.
   void ProcessTaskBatch(const std::vector<IndexTask>& tasks,
                         std::vector<Status>* statuses);
   // Staged (deferred) forms of PutIndexEntry/DeleteIndexEntry: append the
   // index mutation to `ops` instead of shipping it immediately. Same
-  // failpoints and stats buckets as the direct forms.
+  // failpoints as the direct forms; counted in the async stats bucket.
   Status StagePutIndexEntry(const std::string& index_table,
                             const std::string& index_row, Timestamp ts,
                             std::vector<PutRequest>* ops);

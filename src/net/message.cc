@@ -14,6 +14,13 @@ bool GetString(Slice* in, std::string* s) {
   return GetLengthPrefixedString(in, s);
 }
 
+// Reads a declared element count. Every element a decoder sizes a vector
+// for takes at least one byte on the wire, so a count above the bytes
+// left is malformed — rejected before it can drive an allocation.
+bool GetCount(Slice* in, uint32_t* n) {
+  return GetVarint32(in, n) && *n <= in->size();
+}
+
 }  // namespace
 
 const char* MsgTypeName(MsgType type) {
@@ -26,10 +33,6 @@ const char* MsgTypeName(MsgType type) {
       return "get_row";
     case MsgType::kScanRows:
       return "scan_rows";
-    case MsgType::kRawScan:
-      return "raw_scan";
-    case MsgType::kRawDelete:
-      return "raw_delete";
     case MsgType::kHeartbeat:
       return "heartbeat";
     case MsgType::kFetchLayout:
@@ -89,7 +92,7 @@ void PutRequest::EncodeTo(std::string* out) const {
 bool PutRequest::DecodeFrom(Slice* in, PutRequest* req) {
   uint32_t n;
   if (!GetString(in, &req->table) || !GetString(in, &req->row) ||
-      !GetVarint32(in, &n)) {
+      !GetCount(in, &n)) {
     return false;
   }
   req->cells.resize(n);
@@ -122,7 +125,7 @@ void PutResponse::EncodeTo(std::string* out) const {
 
 bool PutResponse::DecodeFrom(Slice* in, PutResponse* resp) {
   uint32_t n;
-  if (!GetFixed64(in, &resp->assigned_ts) || !GetVarint32(in, &n)) {
+  if (!GetFixed64(in, &resp->assigned_ts) || !GetCount(in, &n)) {
     return false;
   }
   resp->old_values.resize(n);
@@ -165,10 +168,6 @@ bool GetCellResponse::DecodeFrom(Slice* in, GetCellResponse* resp) {
 
 // ---- GetRow ----
 
-// Every element a decoder sizes a vector for takes at least one byte on
-// the wire, so a count above the bytes left is malformed — rejected before
-// it can drive an allocation.
-
 void GetRowRequest::EncodeTo(std::string* out) const {
   PutString(out, table);
   PutFixed64(out, read_ts);
@@ -179,7 +178,7 @@ void GetRowRequest::EncodeTo(std::string* out) const {
 bool GetRowRequest::DecodeFrom(Slice* in, GetRowRequest* req) {
   uint32_t n;
   if (!GetString(in, &req->table) || !GetFixed64(in, &req->read_ts) ||
-      !GetVarint32(in, &n) || n > in->size()) {
+      !GetCount(in, &n)) {
     return false;
   }
   req->rows.resize(n);
@@ -202,7 +201,7 @@ void EncodeRowCells(std::string* out, const std::vector<RowCell>& cells) {
 
 bool DecodeRowCells(Slice* in, std::vector<RowCell>* cells) {
   uint32_t n;
-  if (!GetVarint32(in, &n) || n > in->size()) return false;
+  if (!GetCount(in, &n)) return false;
   cells->resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!GetLengthPrefixedString(in, &(*cells)[i].column) ||
@@ -226,7 +225,7 @@ void GetRowResponse::EncodeTo(std::string* out) const {
 
 bool GetRowResponse::DecodeFrom(Slice* in, GetRowResponse* resp) {
   uint32_t n;
-  if (!GetVarint32(in, &n) || n > in->size()) return false;
+  if (!GetCount(in, &n)) return false;
   resp->rows.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     RowResult& row = resp->rows[i];
@@ -264,7 +263,7 @@ void ScanRowsResponse::EncodeTo(std::string* out) const {
 
 bool ScanRowsResponse::DecodeFrom(Slice* in, ScanRowsResponse* resp) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   resp->rows.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!GetLengthPrefixedString(in, &resp->rows[i].row) ||
@@ -275,21 +274,7 @@ bool ScanRowsResponse::DecodeFrom(Slice* in, ScanRowsResponse* resp) {
   return true;
 }
 
-// ---- RawScan / RawDelete ----
-
-void RawScanRequest::EncodeTo(std::string* out) const {
-  PutString(out, table);
-  PutString(out, start_key);
-  PutString(out, end_key);
-  PutFixed64(out, read_ts);
-  PutVarint32(out, limit);
-}
-
-bool RawScanRequest::DecodeFrom(Slice* in, RawScanRequest* req) {
-  return GetString(in, &req->table) && GetString(in, &req->start_key) &&
-         GetString(in, &req->end_key) && GetFixed64(in, &req->read_ts) &&
-         GetVarint32(in, &req->limit);
-}
+// ---- RawScanResponse ----
 
 void RawScanResponse::EncodeTo(std::string* out) const {
   PutVarint32(out, static_cast<uint32_t>(entries.size()));
@@ -302,7 +287,7 @@ void RawScanResponse::EncodeTo(std::string* out) const {
 
 bool RawScanResponse::DecodeFrom(Slice* in, RawScanResponse* resp) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   resp->entries.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!GetLengthPrefixedString(in, &resp->entries[i].key) ||
@@ -312,17 +297,6 @@ bool RawScanResponse::DecodeFrom(Slice* in, RawScanResponse* resp) {
     }
   }
   return true;
-}
-
-void RawDeleteRequest::EncodeTo(std::string* out) const {
-  PutString(out, table);
-  PutString(out, key);
-  PutFixed64(out, ts);
-}
-
-bool RawDeleteRequest::DecodeFrom(Slice* in, RawDeleteRequest* req) {
-  return GetString(in, &req->table) && GetString(in, &req->key) &&
-         GetFixed64(in, &req->ts);
 }
 
 // ---- Cluster management ----
@@ -371,7 +345,7 @@ bool IndexInfoWire::DecodeFrom(Slice* in, IndexInfoWire* info) {
   info->scheme = static_cast<uint8_t>((*in)[0]);
   in->remove_prefix(1);
   uint32_t n;
-  if (!GetString(in, &info->index_table) || !GetVarint32(in, &n)) {
+  if (!GetString(in, &info->index_table) || !GetCount(in, &n)) {
     return false;
   }
   info->extra_columns.resize(n);
@@ -399,7 +373,7 @@ bool TableInfoWire::DecodeFrom(Slice* in, TableInfoWire* info) {
   info->is_index_table = (*in)[0] != 0;
   in->remove_prefix(1);
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   info->indexes.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!IndexInfoWire::DecodeFrom(in, &info->indexes[i])) return false;
@@ -417,14 +391,14 @@ void FetchLayoutResponse::EncodeTo(std::string* out) const {
 
 bool FetchLayoutResponse::DecodeFrom(Slice* in, FetchLayoutResponse* resp) {
   uint32_t n;
-  if (!GetVarint64(in, &resp->layout_epoch) || !GetVarint32(in, &n)) {
+  if (!GetVarint64(in, &resp->layout_epoch) || !GetCount(in, &n)) {
     return false;
   }
   resp->tables.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!TableInfoWire::DecodeFrom(in, &resp->tables[i])) return false;
   }
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   resp->regions.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!RegionInfoWire::DecodeFrom(in, &resp->regions[i])) return false;
@@ -448,7 +422,7 @@ void MultiPutRequest::EncodeTo(std::string* out) const {
 
 bool MultiPutRequest::DecodeFrom(Slice* in, MultiPutRequest* req) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   req->puts.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!PutRequest::DecodeFrom(in, &req->puts[i])) return false;
@@ -463,7 +437,7 @@ void MultiPutResponse::EncodeTo(std::string* out) const {
 
 bool MultiPutResponse::DecodeFrom(Slice* in, MultiPutResponse* resp) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   resp->assigned_ts.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!GetFixed64(in, &resp->assigned_ts[i])) return false;
@@ -502,7 +476,7 @@ void MultiGetRequest::EncodeTo(std::string* out) const {
 bool MultiGetRequest::DecodeFrom(Slice* in, MultiGetRequest* req) {
   uint32_t n;
   if (!GetString(in, &req->table) || !GetFixed64(in, &req->read_ts) ||
-      !GetVarint32(in, &n)) {
+      !GetCount(in, &n)) {
     return false;
   }
   req->keys.resize(n);
@@ -526,7 +500,7 @@ void MultiGetResponse::EncodeTo(std::string* out) const {
 
 bool MultiGetResponse::DecodeFrom(Slice* in, MultiGetResponse* resp) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   resp->entries.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     MultiGetEntry& entry = resp->entries[i];
@@ -568,7 +542,7 @@ void IndexScanResponse::EncodeTo(std::string* out) const {
 
 bool IndexScanResponse::DecodeFrom(Slice* in, IndexScanResponse* resp) {
   uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
+  if (!GetCount(in, &n)) return false;
   resp->entries.resize(n);
   for (uint32_t i = 0; i < n; i++) {
     if (!GetLengthPrefixedString(in, &resp->entries[i].key) ||

@@ -15,10 +15,12 @@ namespace {
 thread_local TraceContext t_current;
 
 uint64_t NextId() {
-  // Process-unique, monotone, never 0. Seeded from the wall clock so ids
-  // from successive processes over the same data don't collide.
-  static std::atomic<uint64_t> counter{TimestampOracle::NowMicros() << 16};
-  return counter.fetch_add(1, std::memory_order_relaxed) | 1;
+  // Process-unique, monotone, never 0: the counter starts odd and steps
+  // by 2, so every id is odd. Seeded from the wall clock so ids from
+  // successive processes over the same data don't collide.
+  static std::atomic<uint64_t> counter{(TimestampOracle::NowMicros() << 16) |
+                                       1};
+  return counter.fetch_add(2, std::memory_order_relaxed);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "auq_test_util.h"
 
 #include <atomic>
 #include <chrono>
@@ -34,14 +35,14 @@ TEST(AuqFlushStressTest, ConcurrentEnqueueVsPauseDrainCycles) {
   AuqOptions options;
   options.worker_threads = 3;
   options.max_depth = 16;  // small: backpressure paths get exercised too
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     mid_flight.fetch_add(1, std::memory_order_acq_rel);
     // A sliver of real work so drains regularly race with execution.
     std::this_thread::sleep_for(std::chrono::microseconds(50));
     mid_flight.fetch_sub(1, std::memory_order_acq_rel);
     processed.fetch_add(1, std::memory_order_acq_rel);
     return Status::OK();
-  });
+  }));
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; p++) {
@@ -97,13 +98,13 @@ TEST(AuqFlushStressTest, DrainSoundUnderRetries) {
   AuqOptions options;
   options.worker_threads = 2;
   options.retry_backoff_ms = 1;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     if (attempts.fetch_add(1) % 3 == 0) {
       return Status::Unavailable("transient");
     }
     processed.fetch_add(1, std::memory_order_acq_rel);
     return Status::OK();
-  });
+  }));
 
   constexpr uint64_t kTasks = 200;
   std::thread producer([&] {
@@ -142,12 +143,11 @@ TEST(AuqFlushStressTest, BatchedDrainCoalescesWithoutLosingTasks) {
   options.metrics = &metrics;
 
   std::atomic<uint64_t> delivered{0};  // survivors handed to the batch
-  AsyncUpdateQueue auq(
-      options, [](const IndexTask&) { return Status::OK(); },
-      [&](const std::vector<IndexTask>& tasks, std::vector<Status>* out) {
-        delivered.fetch_add(tasks.size(), std::memory_order_acq_rel);
-        out->assign(tasks.size(), Status::OK());
-      });
+  AsyncUpdateQueue auq(options, [&](const std::vector<IndexTask>& tasks,
+                                    std::vector<Status>* out) {
+    delivered.fetch_add(tasks.size(), std::memory_order_acq_rel);
+    out->assign(tasks.size(), Status::OK());
+  });
 
   // A tiny key space so batches regularly carry same-(index, row)
   // duplicates that must coalesce.
@@ -193,14 +193,13 @@ TEST(AuqFlushStressTest, BatchedConcurrentEnqueueVsPauseDrainCycles) {
   options.worker_threads = 3;
   options.drain_batch_size = 4;
   options.max_depth = 16;
-  AsyncUpdateQueue auq(
-      options, [](const IndexTask&) { return Status::OK(); },
-      [&](const std::vector<IndexTask>& tasks, std::vector<Status>* out) {
-        mid_flight.fetch_add(1, std::memory_order_acq_rel);
-        std::this_thread::sleep_for(std::chrono::microseconds(80));
-        mid_flight.fetch_sub(1, std::memory_order_acq_rel);
-        out->assign(tasks.size(), Status::OK());
-      });
+  AsyncUpdateQueue auq(options, [&](const std::vector<IndexTask>& tasks,
+                                    std::vector<Status>* out) {
+    mid_flight.fetch_add(1, std::memory_order_acq_rel);
+    std::this_thread::sleep_for(std::chrono::microseconds(80));
+    mid_flight.fetch_sub(1, std::memory_order_acq_rel);
+    out->assign(tasks.size(), Status::OK());
+  });
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; p++) {
@@ -250,15 +249,14 @@ TEST(AuqFlushStressTest, BatchedDrainSoundUnderRetries) {
   options.worker_threads = 2;
   options.drain_batch_size = 8;
   options.retry_backoff_ms = 1;
-  AsyncUpdateQueue auq(
-      options, [](const IndexTask&) { return Status::OK(); },
-      [&](const std::vector<IndexTask>& tasks, std::vector<Status>* out) {
-        if (batches.fetch_add(1) % 3 == 0) {
-          out->assign(tasks.size(), Status::Unavailable("transient"));
-          return;
-        }
-        out->assign(tasks.size(), Status::OK());
-      });
+  AsyncUpdateQueue auq(options, [&](const std::vector<IndexTask>& tasks,
+                                    std::vector<Status>* out) {
+    if (batches.fetch_add(1) % 3 == 0) {
+      out->assign(tasks.size(), Status::Unavailable("transient"));
+      return;
+    }
+    out->assign(tasks.size(), Status::OK());
+  });
 
   constexpr uint64_t kTasks = 300;
   std::thread producer([&] {

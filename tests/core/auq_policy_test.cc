@@ -24,6 +24,7 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "util/random.h"
+#include "auq_test_util.h"
 
 namespace diffindex {
 namespace {
@@ -55,14 +56,14 @@ struct GatedProcessor {
   std::atomic<int> processed{0};
   std::atomic<int> started{0};
   AsyncUpdateQueue::Processor fn() {
-    return [this](const IndexTask&) {
+    return PerTask([this](const IndexTask&) {
       started.fetch_add(1);
       while (!release.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       processed.fetch_add(1);
       return Status::OK();
-    };
+    });
   }
 };
 

@@ -3,6 +3,7 @@
 // retry-until-success, backpressure and shutdown.
 
 #include "core/auq.h"
+#include "auq_test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -24,10 +25,10 @@ IndexTask MakeTask(int i) {
 TEST(AuqTest, ProcessesEnqueuedTasks) {
   std::atomic<int> processed{0};
   AuqOptions options;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     processed++;
     return Status::OK();
-  });
+  }));
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(auq.Enqueue(MakeTask(i)));
   }
@@ -40,12 +41,12 @@ TEST(AuqTest, ProcessesEnqueuedTasks) {
 TEST(AuqTest, TasksCarryPayload) {
   std::atomic<bool> seen{false};
   AuqOptions options;
-  AsyncUpdateQueue auq(options, [&](const IndexTask& task) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask& task) {
     EXPECT_EQ(task.base_table, "t");
     EXPECT_EQ(task.row, "row7");
     seen = true;
     return Status::OK();
-  });
+  }));
   ASSERT_TRUE(auq.Enqueue(MakeTask(7)));
   auq.WaitDrained();
   EXPECT_TRUE(seen.load());
@@ -54,7 +55,7 @@ TEST(AuqTest, TasksCarryPayload) {
 TEST(AuqTest, PauseBlocksEnqueueUntilResume) {
   AuqOptions options;
   AsyncUpdateQueue auq(options,
-                       [](const IndexTask&) { return Status::OK(); });
+                       PerTask([](const IndexTask&) { return Status::OK(); }));
   auq.Pause();
   std::atomic<bool> enqueued{false};
   std::thread producer([&] {
@@ -74,13 +75,13 @@ TEST(AuqTest, WaitDrainedWaitsForInFlightTask) {
   std::atomic<bool> done{false};
   AuqOptions options;
   options.worker_threads = 1;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     done = true;
     return Status::OK();
-  });
+  }));
   ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
   std::thread drainer([&] {
     auq.WaitDrained();
@@ -96,11 +97,11 @@ TEST(AuqTest, FailedTasksRetryUntilSuccess) {
   std::atomic<int> attempts{0};
   AuqOptions options;
   options.retry_backoff_ms = 1;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     // Fail the first three deliveries.
     if (attempts.fetch_add(1) < 3) return Status::Unavailable("down");
     return Status::OK();
-  });
+  }));
   ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
   auq.WaitDrained();
   EXPECT_EQ(attempts.load(), 4);
@@ -111,7 +112,7 @@ TEST(AuqTest, FailedTasksRetryUntilSuccess) {
 TEST(AuqTest, PauseNestingFromConcurrentFlushes) {
   AuqOptions options;
   AsyncUpdateQueue auq(options,
-                       [](const IndexTask&) { return Status::OK(); });
+                       PerTask([](const IndexTask&) { return Status::OK(); }));
   auq.Pause();
   auq.Pause();  // two regions flushing at once
   auq.Resume();
@@ -132,12 +133,12 @@ TEST(AuqTest, BoundedQueueAppliesBackpressure) {
   AuqOptions options;
   options.worker_threads = 1;
   options.max_depth = 2;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return Status::OK();
-  });
+  }));
   // Fill: one in-flight + two queued.
   ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -158,7 +159,7 @@ TEST(AuqTest, BoundedQueueAppliesBackpressure) {
 TEST(AuqTest, ShutdownUnblocksEverything) {
   AuqOptions options;
   AsyncUpdateQueue auq(options,
-                       [](const IndexTask&) { return Status::OK(); });
+                       PerTask([](const IndexTask&) { return Status::OK(); }));
   auq.Pause();
   std::thread producer([&] {
     EXPECT_FALSE(auq.Enqueue(MakeTask(1)));  // released by shutdown
@@ -173,7 +174,7 @@ TEST(AuqTest, StalenessSamplesRecorded) {
   AuqOptions options;
   options.staleness_sample_every = 1;
   AsyncUpdateQueue auq(options,
-                       [](const IndexTask&) { return Status::OK(); });
+                       PerTask([](const IndexTask&) { return Status::OK(); }));
   for (int i = 0; i < 20; i++) {
     IndexTask task = MakeTask(i);
     task.ts = TimestampOracle::NowMicros() - 5000;  // 5 ms "ago"

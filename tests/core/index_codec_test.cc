@@ -10,7 +10,8 @@ namespace diffindex {
 namespace {
 
 TEST(IndexCodecTest, EscapeRemovesZeroBytes) {
-  const std::string raw("a\x00b\x01c", 5);
+  // Split literals: a hex escape is greedy, so "\x00b" would be one byte.
+  const std::string raw("a\x00" "b\x01" "c", 5);
   const std::string escaped = EscapeIndexComponent(raw);
   EXPECT_EQ(escaped.find('\x00'), std::string::npos);
   std::string back;

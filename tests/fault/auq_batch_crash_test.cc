@@ -1,4 +1,4 @@
-// Crash-mid-batch chaos: the "auq.batch" failpoint crashes a server while
+// Crash-mid-batch chaos: the "auq.process" failpoint crashes a server while
 // a coalesced batch is in flight. Replay must re-enqueue the covered base
 // puts from the WAL, and the index must converge with no lost entry (a
 // coalesced-away task whose effect vanished) and no phantom entry (an
@@ -118,13 +118,13 @@ TEST_F(AuqBatchCrashChaosTest, CrashMidBatchLosesNothingGainsNothing) {
 
   // Phase 2: every batch delivery "crashes the server" (and fails the
   // batch). Keep writing underneath so batches are actually in flight.
-  failpoints->Arm("auq.batch", fault::FailpointPolicy::Crash(1.0, seed));
+  failpoints->Arm("auq.process", fault::FailpointPolicy::Crash(1.0, seed));
   for (int i = 0; i < 40; i++) do_op(1000 + i);
   for (int i = 0; i < 2000 && crash_requests.load() == 0; i++) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_GT(crash_requests.load(), 0) << "no batch was ever in flight";
-  failpoints->Disarm("auq.batch");
+  failpoints->Disarm("auq.process");
   failpoints->SetCrashHandler(nullptr);
 
   // Execute one crash: the victim's queued + in-flight batches die with

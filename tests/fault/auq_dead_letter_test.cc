@@ -10,6 +10,7 @@
 #include "core/auq.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
+#include "../core/auq_test_util.h"
 
 namespace diffindex {
 namespace {
@@ -42,10 +43,10 @@ TEST(AuqDeadLetterTest, PoisonTaskIsDeadLetteredAfterMaxAttempts) {
   options.max_attempts = 3;
   options.metrics = &metrics;
   std::atomic<int> attempts{0};
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     attempts.fetch_add(1);
     return Status::IOError("poison");
-  });
+  }));
 
   ASSERT_TRUE(auq.Enqueue(MakeTask("r1")));
   ASSERT_TRUE(WaitFor([&] { return auq.dead_letters() == 1; }));
@@ -76,10 +77,10 @@ TEST(AuqDeadLetterTest, DeadLetterCrashWindowLosesRecordButNotBookkeeping) {
   options.max_attempts = 3;
   options.metrics = &metrics;
   std::atomic<int> attempts{0};
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     attempts.fetch_add(1);
     return Status::IOError("poison");
-  });
+  }));
 
   fault::FailpointRegistry::Global()->Arm(
       "auq.dead_letter", fault::FailpointPolicy::ErrorEveryNth(1));
@@ -104,12 +105,12 @@ TEST(AuqDeadLetterTest, DefaultRetriesForeverUntilSuccess) {
   options.worker_threads = 1;
   options.retry_backoff_ms = 1;  // max_attempts stays 0: paper semantics
   std::atomic<int> attempts{0};
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     // Fails more times than any sane bounded-retry default before
     // succeeding — eventual delivery must still happen.
     return attempts.fetch_add(1) < 12 ? Status::Unavailable("later")
                                       : Status::OK();
-  });
+  }));
   ASSERT_TRUE(auq.Enqueue(MakeTask("r1")));
   ASSERT_TRUE(WaitFor([&] { return auq.processed() == 1; }));
   EXPECT_EQ(auq.dead_letters(), 0u);
@@ -125,13 +126,13 @@ TEST(AuqDeadLetterTest, AbandonDropsBacklogAndSquaresDepthGauge) {
   options.metrics = &metrics;
   std::atomic<bool> block{true};
   std::atomic<bool> started{false};
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     started.store(true);
     while (block.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return Status::OK();
-  });
+  }));
   for (int i = 0; i < 5; i++) {
     ASSERT_TRUE(auq.Enqueue(MakeTask("r" + std::to_string(i))));
   }
@@ -163,11 +164,11 @@ TEST(AuqDeadLetterTest, GracefulShutdownStillDeliversBacklog) {
   options.retry_backoff_ms = 1;
   options.metrics = &metrics;
   std::atomic<int> delivered{0};
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     delivered.fetch_add(1);
     return Status::OK();
-  });
+  }));
   for (int i = 0; i < 5; i++) {
     ASSERT_TRUE(auq.Enqueue(MakeTask("r" + std::to_string(i))));
   }

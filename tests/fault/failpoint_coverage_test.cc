@@ -11,6 +11,7 @@
 #include "cluster/cluster.h"
 #include "core/auq.h"
 #include "fault/failpoint.h"
+#include "../core/auq_test_util.h"
 
 namespace diffindex {
 namespace {
@@ -83,10 +84,10 @@ TEST_F(FailpointCoverageTest, WalReplayFailureFailsRecoveryOfThatRegion) {
 TEST_F(FailpointCoverageTest, AuqEnqueueLossAcksWithoutLanding) {
   std::atomic<int> processed{0};
   AuqOptions options;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+  AsyncUpdateQueue auq(options, PerTask([&](const IndexTask&) {
     processed++;
     return Status::OK();
-  });
+  }));
   IndexTask task;
   task.base_table = "t";
   task.row = "row";

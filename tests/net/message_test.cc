@@ -201,6 +201,104 @@ TEST(MessageTest, TruncatedDecodeFails) {
   EXPECT_FALSE(PutRequest::DecodeFrom(&in, &decoded));
 }
 
+// `prefix` (the fields a decoder reads before a count), then the count
+// 0xFFFFFFFF, then a few bytes — far fewer than the count claims.
+std::string WithInflatedCount(std::string prefix) {
+  PutVarint32(&prefix, 0xFFFFFFFFu);
+  prefix += "abc";
+  return prefix;
+}
+
+template <typename Msg>
+bool Decode(const std::string& buf, Msg* msg) {
+  Slice in(buf);
+  return Msg::DecodeFrom(&in, msg);
+}
+
+// Every decoder that sizes a vector from the wire rejects a count above
+// the bytes left, and does so before the vector grows.
+TEST(MessageTest, EveryDecoderRejectsAnInflatedCount) {
+  std::string table_row;
+  PutLengthPrefixedSlice(&table_row, "t");
+  PutLengthPrefixedSlice(&table_row, "r");
+  PutRequest put;
+  EXPECT_FALSE(Decode(WithInflatedCount(table_row), &put));
+  EXPECT_TRUE(put.cells.empty());
+
+  std::string ts;
+  PutFixed64(&ts, 7);
+  PutResponse put_resp;
+  EXPECT_FALSE(Decode(WithInflatedCount(ts), &put_resp));
+  EXPECT_TRUE(put_resp.old_values.empty());
+
+  std::string table_ts;
+  PutLengthPrefixedSlice(&table_ts, "t");
+  PutFixed64(&table_ts, kMaxTimestamp);
+  GetRowRequest get_row;
+  EXPECT_FALSE(Decode(WithInflatedCount(table_ts), &get_row));
+  EXPECT_TRUE(get_row.rows.empty());
+  MultiGetRequest multi_get;
+  EXPECT_FALSE(Decode(WithInflatedCount(table_ts), &multi_get));
+  EXPECT_TRUE(multi_get.keys.empty());
+
+  GetRowResponse get_row_resp;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &get_row_resp));
+  EXPECT_TRUE(get_row_resp.rows.empty());
+  ScanRowsResponse scan_rows;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &scan_rows));
+  EXPECT_TRUE(scan_rows.rows.empty());
+  RawScanResponse raw_scan;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &raw_scan));
+  EXPECT_TRUE(raw_scan.entries.empty());
+  MultiPutRequest multi_put;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &multi_put));
+  EXPECT_TRUE(multi_put.puts.empty());
+  MultiPutResponse multi_put_resp;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &multi_put_resp));
+  EXPECT_TRUE(multi_put_resp.assigned_ts.empty());
+  MultiGetResponse multi_get_resp;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &multi_get_resp));
+  EXPECT_TRUE(multi_get_resp.entries.empty());
+  IndexScanResponse index_scan;
+  EXPECT_FALSE(Decode(WithInflatedCount(""), &index_scan));
+  EXPECT_TRUE(index_scan.entries.empty());
+
+  // A row's cell count, one level down in a scanned row.
+  std::string one_row;
+  PutVarint32(&one_row, 1);
+  PutLengthPrefixedSlice(&one_row, "r");
+  scan_rows = ScanRowsResponse();
+  EXPECT_FALSE(Decode(WithInflatedCount(one_row), &scan_rows));
+
+  std::string index_prefix;
+  PutLengthPrefixedSlice(&index_prefix, "by_c");
+  PutLengthPrefixedSlice(&index_prefix, "c");
+  index_prefix.push_back(0);  // scheme
+  PutLengthPrefixedSlice(&index_prefix, "t.by_c");
+  IndexInfoWire index_info;
+  EXPECT_FALSE(Decode(WithInflatedCount(index_prefix), &index_info));
+  EXPECT_TRUE(index_info.extra_columns.empty());
+
+  std::string table_prefix;
+  PutLengthPrefixedSlice(&table_prefix, "t");
+  table_prefix.push_back(0);  // is_index_table
+  TableInfoWire table_info;
+  EXPECT_FALSE(Decode(WithInflatedCount(table_prefix), &table_info));
+  EXPECT_TRUE(table_info.indexes.empty());
+
+  // FetchLayoutResponse carries two counts: tables, then regions.
+  std::string epoch;
+  PutVarint64(&epoch, 1);
+  FetchLayoutResponse layout;
+  EXPECT_FALSE(Decode(WithInflatedCount(epoch), &layout));
+  EXPECT_TRUE(layout.tables.empty());
+  std::string no_tables = epoch;
+  PutVarint32(&no_tables, 0);
+  layout = FetchLayoutResponse();
+  EXPECT_FALSE(Decode(WithInflatedCount(no_tables), &layout));
+  EXPECT_TRUE(layout.regions.empty());
+}
+
 // ---- Fabric ----
 
 TEST(FabricTest, CallReachesHandler) {

@@ -42,6 +42,30 @@ TEST(TraceContextTest, RootAndChildIdentity) {
   EXPECT_FALSE(inactive.active());
 }
 
+// Ids are drawn from one process-wide counter whatever its phase, so
+// every trace id and span id handed out — roots and children alike — must
+// be distinct, odd and non-zero, however many draws came before.
+TEST(TraceContextTest, IdsAreDistinctAcrossRootsAndChildren) {
+  std::set<uint64_t> ids;
+  size_t drawn = 0;
+  auto record = [&](uint64_t id) {
+    EXPECT_NE(id, 0u);
+    EXPECT_EQ(id % 2, 1u) << id;
+    ids.insert(id);
+    drawn++;
+  };
+  for (int i = 0; i < 1000; i++) {
+    TraceContext root = TraceContext::NewRoot("put", "sync-full");
+    record(root.trace_id);
+    record(root.span_id);
+    TraceContext child = root.Child();
+    record(child.span_id);
+    EXPECT_EQ(child.parent_span_id, root.span_id);
+    record(child.Child().span_id);
+  }
+  EXPECT_EQ(ids.size(), drawn);
+}
+
 TEST(TraceContextTest, EncodeDecodeRoundTrip) {
   TraceContext ctx = TraceContext::NewRoot("get_by_index", "async-simple");
   ctx.parent_span_id = 99;
