@@ -1,11 +1,13 @@
 // Read-path baseline for the query engine (DESIGN.md §13): the same
 // range workload measured through (a) the client path — RangeByIndex,
-// whose one page walks the index regions inline on the calling thread,
-// plus one GetRow per hit — (b) the engine's paged scatter-gather scan
-// with parallel legs and one parallel row batch per base server, and
-// (c) the scatter-gather scan serving a covered projection (zero base
-// fetch reads). Under sync-insert, (a) and (c) check their hits with
-// per-server MultiGets; (b) checks each hit against the row it fetched.
+// one page whose legs fan out on the engine's pool, plus one GetRow per
+// hit — (b) the engine's paged scatter-gather scan with parallel legs
+// and one parallel row batch per base server, and (c) the scatter-gather
+// scan serving a covered projection (zero base fetch reads). Under
+// sync-insert, (a) and (c) check their hits with per-server MultiGets,
+// in parallel; (b) checks each hit against the row it fetched. A
+// scan-stage pair over wide ranges isolates the leg fan-out: the same
+// covered one-page scan with its legs inline, then on the pool.
 //
 // The indexed values are hex-prefixed strings, so the index entries
 // spread across every index-table region and the scatter legs genuinely
@@ -134,7 +136,7 @@ struct QueryGen {
 using QueryFn = Status (*)(Env*, ReadEngine*, const std::string&,
                            const std::string&, uint64_t*);
 
-// (a) Client path: inline region walk + one single-row GetRow per hit.
+// (a) Client path: RangeByIndex + one single-row GetRow per hit.
 Status SeqLoopQuery(Env* env, ReadEngine*, const std::string& lo,
                     const std::string& hi, uint64_t* rows_out) {
   std::vector<IndexHit> hits;
@@ -178,20 +180,11 @@ Status CoveredQuery(Env* env, ReadEngine* engine, const std::string& lo,
 }
 
 // Scan-stage pair: the inline region walk vs the parallel scatter legs,
-// with the base fetch out of the picture on both sides (hits only /
-// covered entries only, one page wide enough for the whole range).
-Status WideSeqScanQuery(Env* env, ReadEngine*, const std::string& lo,
-                        const std::string& hi, uint64_t* rows_out) {
-  std::vector<IndexHit> hits;
-  DIFFINDEX_RETURN_NOT_OK(
-      env->client->RangeByIndex(kTable, kIndex, lo, hi, 0, &hits));
-  *rows_out = hits.size();
-  return Status::OK();
-}
-
-Status WideScatterQuery(Env* env, ReadEngine* engine, const std::string& lo,
-                        const std::string& hi, uint64_t* rows_out) {
-  (void)env;
+// with the base fetch out of the picture on both sides (covered entries
+// only, one page wide enough for the whole range).
+Status WideScanQuery(ReadEngine* engine, const std::string& lo,
+                     const std::string& hi, int max_parallel,
+                     uint64_t* rows_out) {
   ScanSpec spec;
   spec.table = kTable;
   spec.index_name = kIndex;
@@ -200,11 +193,21 @@ Status WideScatterQuery(Env* env, ReadEngine* engine, const std::string& lo,
   spec.projection = {kColumn};
   ScanOptions options;
   options.page_entries = 8192;  // one page: the legs cover the range
-  options.max_parallel = 8;
+  options.max_parallel = max_parallel;
   std::vector<ScannedRow> rows;
   DIFFINDEX_RETURN_NOT_OK(engine->ScanByIndex(spec, options, &rows));
   *rows_out = rows.size();
   return Status::OK();
+}
+
+Status WideSeqScanQuery(Env*, ReadEngine* engine, const std::string& lo,
+                        const std::string& hi, uint64_t* rows_out) {
+  return WideScanQuery(engine, lo, hi, /*max_parallel=*/1, rows_out);
+}
+
+Status WideScatterQuery(Env*, ReadEngine* engine, const std::string& lo,
+                        const std::string& hi, uint64_t* rows_out) {
+  return WideScanQuery(engine, lo, hi, /*max_parallel=*/8, rows_out);
 }
 
 void RunMode(Env* env, ReadEngine* engine, const char* scheme,

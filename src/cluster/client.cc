@@ -357,12 +357,13 @@ Status Client::GetCell(const std::string& table, const std::string& row,
 Status Client::MultiGet(const std::string& table,
                         const std::vector<MultiGetKey>& keys,
                         Timestamp read_ts,
-                        std::vector<MultiGetEntry>* entries) {
+                        std::vector<MultiGetEntry>* entries,
+                        ThreadPool* pool) {
   entries->assign(keys.size(), MultiGetEntry{});
   return CallPerServer(
       keys.size(), [&](size_t) -> const std::string& { return table; },
       [&](size_t i) -> const std::string& { return keys[i].row; },
-      /*by_row=*/true, /*pool=*/nullptr,
+      /*by_row=*/true, pool,
       [&](NodeId server, std::span<const size_t> positions) {
         MultiGetRequest batch;
         batch.table = table;

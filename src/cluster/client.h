@@ -92,10 +92,11 @@ class Client {
   // multi-get RPC per server (the read-repair verification path of the
   // query engine). `entries` comes back parallel to `keys`; a missing
   // cell is found=false, not an error. The whole batch is retried on
-  // WrongRegion/Unavailable (reads are idempotent).
+  // WrongRegion/Unavailable (reads are idempotent). `pool` as in GetRows.
   Status MultiGet(const std::string& table,
                   const std::vector<MultiGetKey>& keys, Timestamp read_ts,
-                  std::vector<MultiGetEntry>* entries);
+                  std::vector<MultiGetEntry>* entries,
+                  ThreadPool* pool = nullptr);
 
   // One scatter-gather leg of a paged index scan: scans a single region
   // of `index_table`, addressed by region id. No retry loop here — the

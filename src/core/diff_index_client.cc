@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "query/covered.h"
 #include "query/engine.h"
 
 namespace diffindex {
@@ -117,11 +118,10 @@ Status DiffIndexClient::ReadIndex(const std::string& table,
   spec.value_hi_encoded = value_hi_encoded;
   spec.limit = limit;
   ScanOptions options;
-  // One page over the whole range, legs run inline on this thread: the
-  // same walk and RPC count as a serial region-by-region scan, and no
-  // pool threads under the model checker.
+  // One page over the whole range: one leg per index region and one
+  // sync-insert check MultiGet per base server, each fan-out on the
+  // engine's pool when it has more than one leg (query/engine.h).
   options.page_entries = 0;
-  options.max_parallel = 1;
   options.session = session;
   return engine_->ReadHits(std::move(spec), options, std::move(index), hits);
 }
@@ -188,11 +188,45 @@ Status DiffIndexClient::QueryByIndex(const std::string& table,
                                      std::vector<ScannedRow>* rows) {
   obs::ScopedTraceContext scope(OpContext("query_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.query_by_index");
+  return ReadRows(table, index_name, value_encoded, value_encoded + '\0',
+                  /*projection=*/{}, rows);
+}
+
+Status DiffIndexClient::QueryRangeByIndex(
+    const std::string& table, const std::string& index_name,
+    const std::string& value_lo_encoded, const std::string& value_hi_encoded,
+    const std::vector<std::string>& projection,
+    std::vector<ScannedRow>* rows) {
+  obs::ScopedTraceContext scope(OpContext("query_range_by_index", table));
+  obs::SpanTimer span(metrics_, traces_, "client.query_range_by_index");
+  return ReadRows(table, index_name, value_lo_encoded, value_hi_encoded,
+                  projection, rows);
+}
+
+Status DiffIndexClient::ReadRows(const std::string& table,
+                                 const std::string& index_name,
+                                 const std::string& value_lo_encoded,
+                                 const std::string& value_hi_encoded,
+                                 const std::vector<std::string>& projection,
+                                 std::vector<ScannedRow>* rows) {
   rows->clear();
+  IndexDescriptor index;
+  DIFFINDEX_RETURN_NOT_OK(FindIndex(table, index_name, &index));
+  if (metrics_ != nullptr) metrics_->GetCounter("index.read")->Add();
+  if (stats_ != nullptr) stats_->AddIndexRead();
+  if (!index.is_local) {
+    ScanSpec spec;
+    spec.table = table;
+    spec.index_name = index_name;
+    spec.value_lo_encoded = value_lo_encoded;
+    spec.value_hi_encoded = value_hi_encoded;
+    spec.projection = projection;
+    return engine_->ScanByIndex(spec, ScanOptions(), rows);
+  }
   std::vector<IndexHit> hits;
-  DIFFINDEX_RETURN_NOT_OK(
-      GetByIndex(table, index_name, value_encoded, &hits));
-  // One kGetRow batch per base server, inline on this thread.
+  DIFFINDEX_RETURN_NOT_OK(BroadcastLocalScan(index, table, value_lo_encoded,
+                                             value_hi_encoded, 0, &hits));
+  // One kGetRow batch per base server.
   std::vector<std::string> keys;
   keys.reserve(hits.size());
   for (const IndexHit& hit : hits) keys.push_back(hit.base_row);
@@ -207,6 +241,7 @@ Status DiffIndexClient::QueryByIndex(const std::string& table,
     ScannedRow row;
     row.row = std::move(keys[i]);
     row.cells = std::move(fetched[i].cells);
+    ProjectCells(projection, &row);
     rows->push_back(std::move(row));
   }
   return Status::OK();

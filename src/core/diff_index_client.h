@@ -68,10 +68,25 @@ class DiffIndexClient {
                       const std::string& value_hi_encoded, uint32_t limit,
                       std::vector<IndexHit>* hits);
 
-  // GetByIndex + fetch of the matching base rows.
+  // The base rows whose indexed column equals value_encoded: the
+  // QueryRangeByIndex of [v, v + '\0') with every column.
   Status QueryByIndex(const std::string& table, const std::string& index_name,
                       const std::string& value_encoded,
                       std::vector<ScannedRow>* rows);
+
+  // The base rows with indexed value in [lo, hi) ("" = open), trimmed to
+  // `projection` (empty = all columns), in index order. A global index
+  // reads through ReadEngine::ScanByIndex: a covered projection comes
+  // from the index entries alone, and under sync-insert each hit is
+  // checked against the row version returned for it, so K hits cost K
+  // base reads. A local index is broadcast-scanned, then its rows are
+  // fetched with one GetRows. Counts one Table-2 index read.
+  Status QueryRangeByIndex(const std::string& table,
+                           const std::string& index_name,
+                           const std::string& value_lo_encoded,
+                           const std::string& value_hi_encoded,
+                           const std::vector<std::string>& projection,
+                           std::vector<ScannedRow>* rows);
 
   // ---- Session consistency ----
 
@@ -128,6 +143,13 @@ class DiffIndexClient {
                    const std::string& value_hi_encoded, uint32_t limit,
                    SessionId session, std::vector<IndexHit>* hits);
 
+  // The one row read behind QueryByIndex and QueryRangeByIndex.
+  Status ReadRows(const std::string& table, const std::string& index_name,
+                  const std::string& value_lo_encoded,
+                  const std::string& value_hi_encoded,
+                  const std::vector<std::string>& projection,
+                  std::vector<ScannedRow>* rows);
+
   // A local index's entries live inside the base regions: one scan per
   // region of the base table, merged into index order.
   Status BroadcastLocalScan(const IndexDescriptor& index,
@@ -139,7 +161,7 @@ class DiffIndexClient {
   std::shared_ptr<Client> client_;
   OpStats* const stats_;
   SessionManager sessions_;
-  // Runs the global-index reads; legs inline (see ReadIndex).
+  // Runs the global-index reads (see ReadIndex).
   std::unique_ptr<ReadEngine> engine_;
 
   // Observability sinks inherited from the underlying Client (may be

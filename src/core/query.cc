@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "query/engine.h"
+#include "query/covered.h"
 
 namespace diffindex {
 
@@ -45,6 +45,8 @@ Status QueryEngine::Plan(const Query& query, QueryPlan* plan) {
       plan->kind = PlanKind::kIndexExact;
       plan->index_name = index.name;
       plan->exact_value = predicate.value_encoded;
+      plan->range_start = predicate.value_encoded;
+      plan->range_end = NextKey(predicate.value_encoded);
       for (const Predicate& other : query.predicates) {
         if (&other != &predicate) plan->residual.push_back(other);
       }
@@ -156,21 +158,6 @@ bool QueryEngine::RowMatches(const ScannedRow& row,
   return true;
 }
 
-void QueryEngine::Project(const std::vector<std::string>& projection,
-                          std::vector<ScannedRow>* rows) {
-  if (projection.empty()) return;
-  for (ScannedRow& row : *rows) {
-    std::vector<RowCell> kept;
-    for (RowCell& cell : row.cells) {
-      if (std::find(projection.begin(), projection.end(), cell.column) !=
-          projection.end()) {
-        kept.push_back(std::move(cell));
-      }
-    }
-    row.cells = std::move(kept);
-  }
-}
-
 Status QueryEngine::Execute(const Query& query,
                             std::vector<ScannedRow>* rows) {
   rows->clear();
@@ -179,24 +166,17 @@ Status QueryEngine::Execute(const Query& query,
 
   std::vector<ScannedRow> fetched;
   switch (plan.kind) {
-    case PlanKind::kIndexExact: {
-      DIFFINDEX_RETURN_NOT_OK(client_->QueryByIndex(
-          query.table, plan.index_name, plan.exact_value, &fetched));
-      break;
-    }
+    case PlanKind::kIndexExact:
     case PlanKind::kIndexRange: {
-      // Scatter-gather scan (query/engine.h): one leg per index region,
-      // rows come back already fetched — straight from the index entries
-      // when the projection is covered. The engine only sees the
-      // projection when no residual predicate needs other columns.
-      ScanSpec spec;
-      spec.table = query.table;
-      spec.index_name = plan.index_name;
-      spec.value_lo_encoded = plan.range_start;
-      spec.value_hi_encoded = plan.range_end;
-      if (plan.residual.empty()) spec.projection = query.projection;
-      DIFFINDEX_RETURN_NOT_OK(
-          client_->read_engine()->ScanByIndex(spec, ScanOptions(), &fetched));
+      // An exact match is the range [v, v + '\0'). Rows come back already
+      // fetched — straight from the index entries when the projection is
+      // covered, which the read only sees when no residual predicate
+      // needs other columns.
+      DIFFINDEX_RETURN_NOT_OK(client_->QueryRangeByIndex(
+          query.table, plan.index_name, plan.range_start, plan.range_end,
+          plan.residual.empty() ? query.projection
+                                : std::vector<std::string>(),
+          &fetched));
       break;
     }
     case PlanKind::kFullScan: {
@@ -211,7 +191,7 @@ Status QueryEngine::Execute(const Query& query,
     rows->push_back(std::move(row));
     if (query.limit != 0 && rows->size() >= query.limit) break;
   }
-  Project(query.projection, rows);
+  for (ScannedRow& row : *rows) ProjectCells(query.projection, &row);
   return Status::OK();
 }
 

@@ -6,7 +6,11 @@
 // Queries are conjunctions of column predicates. The planner consults the
 // catalog: an equality predicate on an indexed column plans as an index
 // exact-match; range predicates on an indexed column plan as an index
-// range scan; otherwise the query falls back to a full table scan.
+// range scan; otherwise the query falls back to a full table scan. Both
+// index plans execute as one DiffIndexClient::QueryRangeByIndex (an
+// exact match on v is the range [v, v + '\0')), so an equality plan also
+// gets covered projections, and a plan over a local index reads its
+// broadcast hits and then fetches their rows in one batch.
 // Predicates the chosen access path cannot answer are applied as residual
 // filters on the fetched rows.
 
@@ -45,8 +49,10 @@ struct QueryPlan {
   PlanKind kind = PlanKind::kFullScan;
   std::string index_name;       // for the index plans
   std::string exact_value;      // kIndexExact
-  std::string range_start;      // kIndexRange, encoded values; "" = open
-  std::string range_end;        // exclusive; "" = open
+  // The index plans' encoded-value range [range_start, range_end); ""
+  // = open. An exact match on v is [v, v + '\0').
+  std::string range_start;
+  std::string range_end;
   std::vector<Predicate> residual;  // applied after the fetch
   std::string explanation;      // EXPLAIN-style one-liner
 };
@@ -67,8 +73,6 @@ class QueryEngine {
  private:
   static bool RowMatches(const ScannedRow& row,
                          const std::vector<Predicate>& predicates);
-  static void Project(const std::vector<std::string>& projection,
-                      std::vector<ScannedRow>* rows);
 
   DiffIndexClient* const client_;
 };

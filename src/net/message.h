@@ -112,8 +112,10 @@ struct GetCellResponse {
 };
 
 // Batched full-row reads: the row fetch of an uncovered index scan page
-// (and of QueryByIndex) ships one request per base server instead of one
-// per hit. Rows may repeat but must all route to the same server; a row
+// (QueryByIndex and QueryEngine's index plans are such scans) ships one
+// request per base server instead of one per hit; the per-server requests
+// run in parallel on the read engine's pool. Rows may repeat but must all
+// route to the same server; a row
 // the server does not serve fails the whole batch with WrongRegion (the
 // client refreshes its layout, regroups and retries). A single-row read
 // is a batch of one.
@@ -279,8 +281,9 @@ struct LocalIndexScanRequest {
 
 // Batched cell reads: the read-repair verification path groups the
 // per-hit base reads of sync-insert's double-check (Algorithm 2) into
-// one round trip per base region. Keys may span rows but must all route
-// to the same region; a key outside the serving region fails the whole
+// one round trip per base server, the per-server requests running in
+// parallel on the read engine's pool. Keys may span rows and regions but
+// must all route to this server; a key it does not serve fails the whole
 // batch with WrongRegion (the client refreshes its layout and retries).
 struct MultiGetKey {
   std::string row;

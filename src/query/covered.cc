@@ -1,6 +1,7 @@
 #include "query/covered.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/index_codec.h"
 
@@ -55,6 +56,20 @@ bool MaterializeCoveredRow(const IndexDescriptor& index,
     row->cells.push_back(RowCell{column, components[slot], hit.ts});
   }
   return true;
+}
+
+void ProjectCells(const std::vector<std::string>& projection,
+                  ScannedRow* row) {
+  if (projection.empty()) return;
+  std::vector<RowCell> kept;
+  kept.reserve(row->cells.size());
+  for (auto& cell : row->cells) {
+    if (std::find(projection.begin(), projection.end(), cell.column) !=
+        projection.end()) {
+      kept.push_back(std::move(cell));
+    }
+  }
+  row->cells = std::move(kept);
 }
 
 }  // namespace diffindex

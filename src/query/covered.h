@@ -38,6 +38,11 @@ bool MaterializeCoveredRow(const IndexDescriptor& index,
                            const std::vector<std::string>& projection,
                            const IndexHit& hit, ScannedRow* row);
 
+// Keeps only the cells whose column is in `projection` (empty = all),
+// preserving cell order: the projection of a fetched base row.
+void ProjectCells(const std::vector<std::string>& projection,
+                  ScannedRow* row);
+
 }  // namespace diffindex
 
 #endif  // DIFFINDEX_QUERY_COVERED_H_

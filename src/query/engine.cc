@@ -18,22 +18,6 @@ namespace diffindex {
 
 namespace {
 
-// Keeps only the cells whose column is in `projection`, preserving cell
-// order — the same filter as QueryEngine's projection over fetched rows.
-void ProjectCells(const std::vector<std::string>& projection,
-                  ScannedRow* row) {
-  if (projection.empty()) return;
-  std::vector<RowCell> kept;
-  kept.reserve(row->cells.size());
-  for (auto& cell : row->cells) {
-    if (std::find(projection.begin(), projection.end(), cell.column) !=
-        projection.end()) {
-      kept.push_back(std::move(cell));
-    }
-  }
-  row->cells = std::move(kept);
-}
-
 // Re-pairs fetched rows with `hits` after the session merge reordered
 // and extended them: each hit takes the row fetched for its base row
 // (`keys` parallel to `fetched`; on a repeated key the last wins). A hit
@@ -74,7 +58,7 @@ void IndexScanner::SeekTo(const std::string& cursor) {
   returned_ = 0;
 }
 
-Status IndexScanner::GatherOnce(uint32_t budget,
+Status IndexScanner::GatherOnce(ThreadPool* pool, uint32_t budget,
                                 std::vector<IndexScanResponse>* responses,
                                 uint64_t* legs_issued) {
   Client* raw = engine_->client_->raw_client();
@@ -100,10 +84,10 @@ Status IndexScanner::GatherOnce(uint32_t budget,
                                        end_key_, kMaxTimestamp, budget,
                                        &(*responses)[i]);
   };
-  if (options_.max_parallel <= 1 || legs.size() == 1) {
+  if (pool == nullptr || legs.size() == 1) {
     for (size_t i = 0; i < legs.size(); i++) leg(i);
   } else {
-    obs::RunAllTraced(engine_->pool(), legs.size(), leg);
+    obs::RunAllTraced(pool, legs.size(), leg);
   }
 
   DIFFINDEX_FAILPOINT("query.merge");
@@ -119,6 +103,9 @@ Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
 
   DiffIndexClient* client = engine_->client_;
   Client* raw = client->raw_client();
+  // One pool for the step's three fan-outs: index legs, row batches and
+  // sync-insert check reads. Each still runs inline when it has one leg.
+  ThreadPool* pool = options_.max_parallel > 1 ? engine_->pool() : nullptr;
 
   uint32_t budget = options_.page_entries;
   if (spec_.limit != 0) {
@@ -129,7 +116,7 @@ Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
 
   std::vector<IndexScanResponse> responses;
   for (int attempt = 0;; attempt++) {
-    Status gather = GatherOnce(budget, &responses, legs);
+    Status gather = GatherOnce(pool, budget, &responses, legs);
     if (gather.ok()) break;
     if (!(gather.IsWrongRegion() || gather.IsUnavailable()) ||
         attempt >= engine_->options_.max_page_retries) {
@@ -191,13 +178,14 @@ Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
   std::vector<std::string> keys;
   std::vector<RowResult> fetched;
   if (rows != nullptr) {
-    DIFFINDEX_RETURN_NOT_OK(FetchRows(*hits, merge_end, &keys, &fetched));
+    DIFFINDEX_RETURN_NOT_OK(
+        FetchRows(pool, *hits, merge_end, &keys, &fetched));
     rows->assign(std::make_move_iterator(fetched.begin()),
                  std::make_move_iterator(fetched.begin() + hits->size()));
   }
 
   if (index_.scheme == IndexScheme::kSyncInsert) {
-    DIFFINDEX_RETURN_NOT_OK(BatchedRepairHits(raw, client->stats(),
+    DIFFINDEX_RETURN_NOT_OK(BatchedRepairHits(raw, pool, client->stats(),
                                               spec_.table, index_, hits,
                                               rows));
   }
@@ -229,7 +217,8 @@ Status IndexScanner::NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
   return Status::OK();
 }
 
-Status IndexScanner::FetchRows(const std::vector<IndexHit>& hits,
+Status IndexScanner::FetchRows(ThreadPool* pool,
+                               const std::vector<IndexHit>& hits,
                                const std::string& merge_end,
                                std::vector<std::string>* keys,
                                std::vector<RowResult>* fetched) {
@@ -242,8 +231,7 @@ Status IndexScanner::FetchRows(const std::vector<IndexHit>& hits,
         options_.session, index_.index_table, cursor_, merge_end, keys));
   }
   DIFFINDEX_RETURN_NOT_OK(
-      raw->GetRows(spec_.table, *keys, kMaxTimestamp, fetched,
-                   options_.max_parallel > 1 ? engine_->pool() : nullptr));
+      raw->GetRows(spec_.table, *keys, kMaxTimestamp, fetched, pool));
   if (client->stats() != nullptr) {
     for (size_t i = 0; i < keys->size(); i++) client->stats()->AddBaseRead();
   }
@@ -311,12 +299,18 @@ ReadEngine::~ReadEngine() {
 }
 
 ThreadPool* ReadEngine::pool() {
+#ifdef DIFFINDEX_CHECK
+  // The model checker's scheduler controls registered threads only, so
+  // the instrumented build runs every fan-out inline.
+  return nullptr;
+#else
   MutexLock lock(pool_mu_);
   if (pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(
         std::max(1, options_.max_parallel_legs), "query");
   }
   return pool_.get();
+#endif
 }
 
 void ReadEngine::BackoffBeforeRetry(int attempt) {

@@ -11,12 +11,16 @@
 // DiffIndexClient's GetByIndex/RangeByIndex (and their session variants)
 // run the same step through ReadHits, without the row fetch.
 //
-// Fan-out: with ScanOptions::max_parallel > 1 a page's index legs, and
-// its row fetch's per-server kGetRow batches, run on the engine's pool
+// Fan-out: with ScanOptions::max_parallel > 1 every read step of a page
+// — its index legs, its row fetch's per-server kGetRow batches and its
+// sync-insert check's per-server MultiGets — runs on the engine's pool
 // (ThreadPool::RunAll: the calling thread runs the last one) under the
-// caller's trace context. An uncovered sync-insert page verifies each hit
-// against its fetched row, so it returns exactly the row versions its
-// hits were checked against and costs K base reads for K hits.
+// caller's trace context. A step with one leg or one server runs inline,
+// so point reads pay no pool handoff. NextPage and the client's
+// hits-only reads (ReadHits) share this rule. An uncovered sync-insert
+// page verifies each hit against its fetched row, so it returns exactly
+// the row versions its hits were checked against and costs K base reads
+// for K hits.
 //
 // Per-page retry: a leg that lands on a moved region fails fast with
 // WrongRegion (legs are addressed by region id); the engine refreshes
@@ -62,10 +66,12 @@ struct ScanOptions {
   // Max index entries per page; 0 = unbounded (one page covers the
   // range, which is how DiffIndexClient's index reads run).
   uint32_t page_entries = 256;
-  // >1: a page's legs and per-server row batches run on the engine's
-  // thread pool (whose size, ReadEngineOptions::max_parallel_legs, is the
-  // actual cap). <=1: they run inline on the calling thread — required
-  // under the model checker, whose scheduler cannot control pool threads.
+  // >1: a page's legs, per-server row batches and per-server check
+  // MultiGets run on the engine's thread pool (whose size,
+  // ReadEngineOptions::max_parallel_legs, is the actual cap). <=1: they
+  // run inline on the calling thread. A DIFFINDEX_CHECK build runs them
+  // inline regardless (ReadEngine::pool), since the model checker's
+  // scheduler cannot control pool threads.
   int max_parallel = 4;
   bool allow_covered = true;
   // Non-zero: merge this session's private entries into each page
@@ -128,27 +134,30 @@ class IndexScanner {
   // then advance the cursor. Adds the legs it issued to *legs. `rows`
   // non-null (uncovered pages): also fetches every hit's base row —
   // parallel to *hits on return — in one kGetRow batch per base server,
-  // run on the pool when max_parallel > 1, and repair verifies each hit
-  // against its fetched row. `rows` null (covered pages, ReadHits):
-  // repair reads the index columns with per-server MultiGets.
+  // and repair verifies each hit against its fetched row. `rows` null
+  // (covered pages, ReadHits): repair reads the index columns with
+  // per-server MultiGets. The step picks its pool once (null when
+  // max_parallel <= 1) and hands it to all three fan-outs.
   Status NextHits(std::vector<IndexHit>* hits, uint64_t* legs,
                   std::vector<RowResult>* rows);
 
   // The row fetch of an uncovered page: *keys gets the base rows of
   // `hits`, then of the session's private entries on [cursor_, merge_end)
   // (what the merge may add), and *fetched those rows, parallel — one
-  // kGetRow batch per base server, on the pool when max_parallel > 1.
-  // Counts one base read per row.
-  Status FetchRows(const std::vector<IndexHit>& hits,
+  // kGetRow batch per base server, on `pool` when non-null. Counts one
+  // base read per row.
+  Status FetchRows(ThreadPool* pool, const std::vector<IndexHit>& hits,
                    const std::string& merge_end,
                    std::vector<std::string>* keys,
                    std::vector<RowResult>* fetched);
 
   // One scatter-gather round: fans a leg out per index region overlapping
   // [cursor_, end_key_), each asking for at most `budget` entries (0 = no
-  // cap), and returns the leg responses in region order. Adds the legs it
-  // issued to *legs.
-  Status GatherOnce(uint32_t budget, std::vector<IndexScanResponse>* responses,
+  // cap), and returns the leg responses in region order — on `pool` when
+  // non-null and there is more than one leg. Adds the legs it issued to
+  // *legs.
+  Status GatherOnce(ThreadPool* pool, uint32_t budget,
+                    std::vector<IndexScanResponse>* responses,
                     uint64_t* legs);
 
   ReadEngine* const engine_;
@@ -195,8 +204,9 @@ class ReadEngine {
  private:
   friend class IndexScanner;
 
-  // Lazily created pool for index legs and row batches: scans with
-  // max_parallel <= 1 never spawn threads (model-checker determinism).
+  // Lazily created pool for index legs, row batches and check reads:
+  // reads with max_parallel <= 1 never spawn threads. Null in a
+  // DIFFINDEX_CHECK build, so model-checked runs stay inline.
   ThreadPool* pool() EXCLUDES(pool_mu_);
   void BackoffBeforeRetry(int attempt);
 

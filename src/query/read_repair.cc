@@ -22,7 +22,7 @@ std::vector<std::string> VerificationColumns(const IndexDescriptor& index) {
 
 }  // namespace
 
-Status BatchedRepairHits(Client* client, OpStats* stats,
+Status BatchedRepairHits(Client* client, ThreadPool* pool, OpStats* stats,
                          const std::string& base_table,
                          const IndexDescriptor& index,
                          std::vector<IndexHit>* hits,
@@ -46,7 +46,7 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
       }
     }
     DIFFINDEX_RETURN_NOT_OK(
-        client->MultiGet(base_table, keys, kMaxTimestamp, &entries));
+        client->MultiGet(base_table, keys, kMaxTimestamp, &entries, pool));
     batch = keys.size();
     if (stats != nullptr) {
       for (size_t i = 0; i < keys.size(); i++) stats->AddBaseRead();

@@ -11,8 +11,10 @@
 //     hit's base row anyway (one kGetRow batch per server), so each hit
 //     is checked against exactly the row version the page returns, at no
 //     extra read;
-//   * otherwise (hits-only reads: GetByIndex, RangeByIndex) the index
-//     columns, grouped into one MultiGet per base server.
+//   * otherwise (hits-only reads: GetByIndex, RangeByIndex, and covered
+//     pages) the index columns, grouped into one MultiGet per base
+//     server; the per-server MultiGets run on the caller's pool when it
+//     passes one.
 //
 // Table-2 accounting stays exact: each row read counts once. A MultiGet
 // check of an n-column index is n base reads per hit; a check against a
@@ -32,16 +34,18 @@ namespace diffindex {
 
 // Double-check of `hits` against the base table. `rows` null: the
 // verification columns are read with per-server MultiGets, each counting
-// toward query.base_reads and OpStats::base_read. `rows` non-null: it is
-// parallel to *hits (the hits' fetched base rows) and is the verification
-// source; survivors' rows are compacted alongside the hits. Exports
-// query.repair.checked / query.repair.deleted counters and the
-// query.repair.batch_size histogram. stats may be null.
-Status BatchedRepairHits(Client* client, OpStats* stats,
+// toward query.base_reads and OpStats::base_read; a non-null `pool` runs
+// them in parallel when the hits span more than one server (see
+// Client::MultiGet). `rows` non-null: it is parallel to *hits (the hits'
+// fetched base rows) and is the verification source; survivors' rows are
+// compacted alongside the hits. Exports query.repair.checked /
+// query.repair.deleted counters and the query.repair.batch_size
+// histogram. stats and pool may be null.
+Status BatchedRepairHits(Client* client, ThreadPool* pool, OpStats* stats,
                          const std::string& base_table,
                          const IndexDescriptor& index,
                          std::vector<IndexHit>* hits,
-                         std::vector<RowResult>* rows = nullptr);
+                         std::vector<RowResult>* rows);
 
 }  // namespace diffindex
 

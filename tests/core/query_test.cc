@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "cluster/cluster.h"
 #include "core/index_codec.h"
 
@@ -195,6 +198,88 @@ TEST_F(QueryTest, UnknownTableFails) {
   query.table = "nope";
   std::vector<ScannedRow> rows;
   EXPECT_TRUE(engine_->Execute(query, &rows).IsNotFound());
+}
+
+// An equality plan runs as the range [v, v + '\0'), so a projection the
+// index covers comes from the index entries alone: no base row is read.
+TEST_F(QueryTest, EqualityPlanServesCoveredProjection) {
+  Query query;
+  query.table = "items";
+  query.predicates = {Eq("title", "t1")};
+  query.projection = {"title"};
+  const uint64_t base_reads_before =
+      cluster_->metrics()->GetCounter("query.base_reads")->value();
+  const uint64_t covered_before =
+      cluster_->metrics()->GetCounter("query.covered")->value();
+  std::vector<ScannedRow> rows;
+  ASSERT_TRUE(engine_->Execute(query, &rows).ok());
+  ASSERT_EQ(rows.size(), 10u);  // i % 3 == 1
+  for (const auto& row : rows) {
+    ASSERT_EQ(row.cells.size(), 1u);
+    EXPECT_EQ(row.cells[0].value, "t1");
+  }
+  EXPECT_EQ(cluster_->metrics()->GetCounter("query.base_reads")->value(),
+            base_reads_before);
+  EXPECT_GT(cluster_->metrics()->GetCounter("query.covered")->value(),
+            covered_before);
+}
+
+// Plans over a local index — range and equality alike — read the hits
+// from the broadcast scan and fetch their rows in one batch; neither
+// goes through the global-only scatter-gather scan.
+TEST_F(QueryTest, LocalIndexPlansExecute) {
+  ASSERT_TRUE(cluster_->master()->CreateTable("stock").ok());
+  IndexDescriptor qty_index;
+  qty_index.name = "by_qty";
+  qty_index.column = "qty";
+  qty_index.is_local = true;
+  ASSERT_TRUE(cluster_->master()->CreateIndex("stock", qty_index).ok());
+  ASSERT_TRUE(client_->raw_client()->RefreshLayout().ok());
+  // 20 rows: qty i*5, bin "b<i%4>".
+  for (int i = 0; i < 20; i++) {
+    char row[16];
+    snprintf(row, sizeof(row), "%02x-stock%d", (i * 13) % 256, i);
+    ASSERT_TRUE(
+        client_
+            ->Put("stock", row,
+                  {Cell{"qty",
+                        EncodeUint64IndexValue(static_cast<uint64_t>(i) * 5),
+                        false},
+                   Cell{"bin", "b" + std::to_string(i % 4), false}})
+            .ok());
+  }
+
+  Query range;
+  range.table = "stock";
+  range.predicates = {
+      Predicate{"qty", PredicateOp::kGe, EncodeUint64IndexValue(20)},
+      Predicate{"qty", PredicateOp::kLt, EncodeUint64IndexValue(50)},
+      Eq("bin", "b1")};
+  range.projection = {"qty"};
+  QueryPlan plan;
+  ASSERT_TRUE(engine_->Plan(range, &plan).ok());
+  EXPECT_EQ(plan.kind, PlanKind::kIndexRange);
+  EXPECT_EQ(plan.index_name, "by_qty");
+  std::vector<ScannedRow> rows;
+  ASSERT_TRUE(engine_->Execute(range, &rows).ok());
+  // qty 20..45 is i in 4..9; bin b1 keeps i = 5 and 9.
+  std::set<std::string> got;
+  for (const auto& row : rows) {
+    ASSERT_EQ(row.cells.size(), 1u);
+    EXPECT_EQ(row.cells[0].column, "qty");
+    got.insert(row.cells[0].value);
+  }
+  EXPECT_EQ(got, (std::set<std::string>{EncodeUint64IndexValue(25),
+                                        EncodeUint64IndexValue(45)}));
+
+  Query exact;
+  exact.table = "stock";
+  exact.predicates = {Eq("qty", EncodeUint64IndexValue(35))};
+  ASSERT_TRUE(engine_->Plan(exact, &plan).ok());
+  EXPECT_EQ(plan.kind, PlanKind::kIndexExact);
+  ASSERT_TRUE(engine_->Execute(exact, &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].cells.size(), 2u);
 }
 
 TEST_F(QueryTest, ExplainDescribesPlan) {

@@ -2,7 +2,8 @@
 // range scans checked against the fixture's ground truth (the rows it
 // wrote), cursor resumability across scanner instances, covered
 // projections (zero base reads), batched read-repair for sync-insert and
-// the deterministic RPC cost of its hits-only and uncovered-page forms,
+// the deterministic RPC cost of its hits-only, uncovered-page and
+// QueryByIndex forms,
 // per-server row batches across a base-region move, the trace context of
 // pool legs, Corruption on undecodable index rows, and fault handling at
 // the merge seam and on the wire.
@@ -484,7 +485,10 @@ TEST_F(ScanByIndexTest, BatchedRepairFiltersAndDeletesStaleEntries) {
 // its K stale and live hits are checked with one MultiGet per base server
 // (the client's index reads run one page over the whole range) and no
 // per-hit GetCell, the K checks still count as K base reads, and the
-// stale entries are deleted.
+// stale entries are deleted. The hits span all three base servers, so
+// the check MultiGets run on the engine's pool, each on a pool thread or
+// the caller's: every rpc.multi_get span still carries the read's
+// scheme, trace id and parent span, exactly as an inline check's RPC.
 TEST_F(ScanByIndexTest, SyncInsertRangeByIndexBatchesRepairPerServer) {
   Setup(IndexScheme::kSyncInsert);
   LoadRows(30);
@@ -497,6 +501,8 @@ TEST_F(ScanByIndexTest, SyncInsertRangeByIndexBatchesRepairPerServer) {
   const uint64_t k = 40;  // 30 live + 10 stale entries in the index
   const uint64_t servers = cluster_->server_ids().size();
   ASSERT_EQ(servers, 3u);
+  const std::vector<IndexHit> want = Reference("", "");
+  cluster_->traces()->Clear();
 
   const uint64_t get_cell_before = CounterValue("rpc.get_cell.calls");
   const uint64_t multi_get_before = CounterValue("rpc.multi_get.calls");
@@ -510,11 +516,64 @@ TEST_F(ScanByIndexTest, SyncInsertRangeByIndexBatchesRepairPerServer) {
             servers * 1);  // servers x pages, one page
   EXPECT_EQ(after.base_read - before.base_read, k);
   EXPECT_EQ(after.index_read - before.index_read, 1u);
-  ExpectSameHits(hits, Reference("", ""));
+  ExpectSameHits(hits, want);
 
   std::set<std::pair<std::string, std::string>> live;
   for (const auto& [row, value] : truth_) live.emplace(value, row);
   EXPECT_EQ(RawIndexState(), live);
+
+  const std::vector<obs::SpanRecord> spans = cluster_->traces()->AllSpans();
+  const obs::SpanRecord* read = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "client.range_by_index") read = &span;
+  }
+  ASSERT_NE(read, nullptr);
+  size_t multi_gets = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "rpc.multi_get") continue;
+    multi_gets++;
+    EXPECT_EQ(span.scheme, "sync-insert");
+    EXPECT_EQ(span.trace_id, read->trace_id);
+    EXPECT_EQ(span.parent_span_id, read->span_id);
+  }
+  EXPECT_GE(multi_gets, 2u);
+  EXPECT_LE(multi_gets, servers);
+}
+
+// QueryByIndex under sync-insert reads each of its K hits' rows once:
+// the rows it returns are the versions its hits were checked against,
+// so K = 30 entries (10 of them stale) cost 30 base reads — not a
+// column check per hit followed by a second fetch of the live rows —
+// and every returned row still holds the queried value.
+TEST_F(ScanByIndexTest, QueryByIndexReadsEachSyncInsertHitOnce) {
+  Setup(IndexScheme::kSyncInsert);
+  std::set<std::string> live;
+  for (int i = 0; i < 30; i++) {
+    ASSERT_TRUE(client_->PutColumn(kTable, RowName(i), kColumn, "hot").ok());
+    live.insert(RowName(i));
+  }
+  for (int i = 0; i < 30; i += 3) {  // 10 stale "hot" entries
+    ASSERT_TRUE(client_->PutColumn(kTable, RowName(i), kColumn, "cold").ok());
+    live.erase(RowName(i));
+  }
+  const uint64_t k = 30;
+
+  const OpStats::Snapshot before = cluster_->stats()->snapshot();
+  std::vector<ScannedRow> rows;
+  ASSERT_TRUE(client_->QueryByIndex(kTable, kIndex, "hot", &rows).ok());
+  const OpStats::Snapshot after = cluster_->stats()->snapshot();
+
+  EXPECT_EQ(after.base_read - before.base_read, k);
+  EXPECT_EQ(after.index_read - before.index_read, 1u);
+  std::set<std::string> got;
+  for (const ScannedRow& row : rows) {
+    got.insert(row.row);
+    ASSERT_EQ(row.cells.size(), 1u) << row.row;
+    EXPECT_EQ(row.cells[0].column, kColumn);
+    EXPECT_EQ(row.cells[0].value, "hot") << row.row;
+  }
+  EXPECT_EQ(got, live);
+  EXPECT_EQ(rows.size(), live.size());
 }
 
 // Table-2 cost of one uncovered sync-insert scan page, on deterministic

@@ -30,6 +30,8 @@ RULE_DESCRIPTIONS = {
         "every failpoint consulted in src/ is in the DESIGN.md catalog",
     "metric-names":
         "every instrument and span stage in src/ has a DESIGN.md row",
+    "yield-tags":
+        "every CHECK_YIELD tag in src/ is in the DESIGN.md yield tag table",
     "catalog-sync":
         "every DESIGN.md catalog row is still backed by src/",
     "raw-mutex":

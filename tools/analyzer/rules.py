@@ -58,9 +58,9 @@ with callee summaries inlined at call sites:
                           failpoint in the same innermost scope before
                           it, so the chaos harness can cut the window.
 
-The per-file textual rules (failpoint-names, metric-names, catalog-sync,
-raw-mutex, naked-new, index-ts, lsm-layering, ignore-error) live in
-textual.py; RuleEngine dispatches them over src/ and emits their
+The per-file textual rules (failpoint-names, metric-names, yield-tags,
+catalog-sync, raw-mutex, naked-new, index-ts, lsm-layering, ignore-error)
+live in textual.py; RuleEngine dispatches them over src/ and emits their
 findings through the same waiver lookup.
 """
 

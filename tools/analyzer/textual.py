@@ -10,12 +10,15 @@ ad-hoc metric names and raw primitives.
   metric-names     every instrument name created in src/ (and every
                    SpanTimer stage) matches a row of the DESIGN.md
                    metric names table (span-stage list).
+  yield-tags       every CHECK_YIELD / CHECK_YIELD_RES tag in src/ has a
+                   row in the DESIGN.md yield-tag table (section 12.1).
   catalog-sync     the reverse direction: every failpoint catalog row
-                   is still consulted and every metric row still
-                   matches an instrument the code creates, so retired
-                   names leave the catalogs. Like failpoint-
-                   reachability, it judges the analyzed file set as the
-                   whole program; findings sit in DESIGN.md.
+                   is still consulted, every metric row still matches
+                   an instrument the code creates and every yield-tag
+                   row still names a seam, so retired names leave the
+                   catalogs. Like failpoint-reachability, it judges the
+                   analyzed file set as the whole program; findings sit
+                   in DESIGN.md.
   raw-mutex        no raw std synchronization primitive outside
                    util/mutex.h (and the model checker's scheduler, see
                    rules._excluded): they are invisible to TSA.
@@ -39,7 +42,8 @@ import re
 from dataflow import balanced_args, failpoint_consults, split_args
 from source import line_of
 
-CATALOG_RULES = ("failpoint-names", "metric-names", "catalog-sync")
+CATALOG_RULES = ("failpoint-names", "metric-names", "yield-tags",
+                 "catalog-sync")
 
 RULES = CATALOG_RULES + (
     "raw-mutex",
@@ -50,6 +54,9 @@ RULES = CATALOG_RULES + (
 )
 
 DESIGN_DOC = "DESIGN.md"
+FAILPOINT_TABLE = "### Failpoint catalog"
+METRIC_TABLE = "**Metric names (authoritative).**"
+YIELD_TABLE = "**Yield tags (authoritative).**"
 
 # A stand-in for a dynamic (non-literal) name fragment; matches the
 # wildcard character class of name_to_regex and nothing a literal row
@@ -63,24 +70,28 @@ class CatalogError(Exception):
 
 class Catalogs:
     """The DESIGN.md tables the catalog rules check against: failpoint
-    names (section 7), metric rows as (raw name, regex) pairs, and the
-    span-stage regexes (section 6)."""
+    names (section 7), metric rows as (raw name, regex) pairs, the
+    span-stage regexes (section 6) and the yield tags (section 12.1)."""
 
     def __init__(self, text):
         self.text = text
         self.failpoints = set(_table_names(
-            text, "### Failpoint catalog", ("### ", "## ")))
+            text, FAILPOINT_TABLE, ("### ", "## ")))
+        self.yield_tags = set(_table_names(
+            text, YIELD_TABLE, ("### ", "## ")))
         self.metric_rows = [
             (n, name_to_regex(n)) for n in _table_names(
-                text, "**Metric names (authoritative).**",
-                ("## ", "**Tracing.**"))
+                text, METRIC_TABLE, ("## ", "**Tracing.**"))
             if n != "Name"]
         m = re.search(r"Span stages [^:]*:\s*((?:`[^`]+`[,.\s]*)+)", text)
         stages = re.findall(r"`([^`]+)`", m.group(1)) if m else []
         self.span_stages = [name_to_regex(n) for n in stages]
 
-    def row_line(self, name):
-        m = re.search(r"^\|\s*`%s`" % re.escape(name), self.text, re.M)
+    def row_line(self, name, table):
+        """Line of `name`'s row in the table after the `table` marker."""
+        start = max(self.text.find(table), 0)
+        rx = re.compile(r"^\|\s*`%s`" % re.escape(name), re.M)
+        m = rx.search(self.text, start)
         return line_of(self.text, m.start()) if m else 1
 
 
@@ -94,6 +105,8 @@ def load_catalogs(root):
         raise CatalogError("no failpoint catalog parsed from " + DESIGN_DOC)
     if not catalogs.metric_rows:
         raise CatalogError("no metric names table parsed from " + DESIGN_DOC)
+    if not catalogs.yield_tags:
+        raise CatalogError("no yield tag table parsed from " + DESIGN_DOC)
     return catalogs
 
 
@@ -151,6 +164,13 @@ def _instrument_name(argtext):
 
 INSTRUMENT_RE = re.compile(r"\b(?:GetCounter|GetGauge|GetHistogram)\s*\(")
 SPAN_RE = re.compile(r"\bSpanTimer\s+\w+\s*\(")
+YIELD_TAG_RE = re.compile(r"\bCHECK_YIELD(?:_RES)?\s*\(\s*\"([^\"]+)\"")
+
+
+def _yield_tags(sf):
+    """Yields (offset, tag) for every literal CHECK_YIELD(_RES) tag."""
+    for m in YIELD_TAG_RE.finditer(sf.clean_str):
+        yield m.start(), m.group(1)
 
 
 def _instruments(sf):
@@ -206,6 +226,15 @@ def metric_names(sf, catalogs):
             yield (line_of(sf.clean_str, pos),
                    "span stage '%s' is not in the DESIGN.md span-stage "
                    "list" % shown)
+
+
+def yield_tags(sf, catalogs):
+    for pos, tag in _yield_tags(sf):
+        if tag not in catalogs.yield_tags:
+            yield (line_of(sf.clean_str, pos),
+                   "yield tag '%s' is not in the DESIGN.md yield tag "
+                   "table; the model checker's seams are listed there"
+                   % tag)
 
 
 RAW_SYNC_RE = re.compile(
@@ -340,6 +369,7 @@ def ignore_error(sf, catalogs):
 PER_FILE = (
     ("failpoint-names", failpoint_names),
     ("metric-names", metric_names),
+    ("yield-tags", yield_tags),
     ("raw-mutex", raw_mutex),
     ("naked-new", naked_new),
     ("index-ts", index_ts),
@@ -355,17 +385,23 @@ def catalog_sync(files, catalogs):
     treated as wildcards."""
     consulted = set()
     created = set()
+    seams = set()
     for sf in files:
         consulted.update(name for _, name in failpoint_consults(sf))
+        seams.update(tag for _, tag in _yield_tags(sf))
         for _, kind, name in _instruments(sf):
             # The recorder creates span instruments as "span." + stage.
             created.add(name if kind == "metric" else "span." + name)
     for name in sorted(catalogs.failpoints):
         if name not in consulted:
-            yield (catalogs.row_line(name),
+            yield (catalogs.row_line(name, FAILPOINT_TABLE),
                    "failpoint catalog row '%s' is consulted nowhere in the "
                    "analyzed tree; retire the row or restore the consult"
                    % name)
+    for tag in sorted(catalogs.yield_tags - seams):
+        yield (catalogs.row_line(tag, YIELD_TABLE),
+               "yield tag row '%s' marks no CHECK_YIELD in the analyzed "
+               "tree; retire the row or restore the seam" % tag)
     created_res = [
         re.compile("^" + ".*".join(re.escape(p) for p in name.split(DYN))
                    + "$")
@@ -374,7 +410,7 @@ def catalog_sync(files, catalogs):
         if any(row_re.match(name) for name in created) \
                 or any(r.match(row) for r in created_res):
             continue
-        yield (catalogs.row_line(row),
+        yield (catalogs.row_line(row, METRIC_TABLE),
                "metric table row '%s' matches no instrument created in the "
                "analyzed tree; retire the row or restore the instrument"
                % row)
