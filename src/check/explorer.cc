@@ -15,7 +15,7 @@ using Op = DecisionRecord::Option;
 // treated as dependent (never pruned on).
 bool Independent(const Op& a, const Op& b) {
   if (a.thread == b.thread) return false;
-  if (a.resource == nullptr || b.resource == nullptr) return false;
+  if (a.resource == 0 || b.resource == 0) return false;
   return a.resource != b.resource;
 }
 

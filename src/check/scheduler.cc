@@ -108,13 +108,19 @@ void Scheduler::AwaitRegistered(int count) {
   });
 }
 
+int Scheduler::ResourceIdLocked(const void* addr) {
+  if (addr == nullptr) return 0;
+  const int next = static_cast<int>(resource_ids_.size()) + 1;
+  return resource_ids_.emplace(addr, next).first->second;
+}
+
 void Scheduler::Yield(const char* tag, const void* resource, bool is_lock) {
   std::unique_lock<std::mutex> lk(mu_);
   if (!controlled_.load(std::memory_order_relaxed)) return;
   const int id = tls_id;
   ThreadState& self = threads_[id];
   self.pending_tag = tag;
-  self.pending_resource = resource;
+  self.pending_resource = ResourceIdLocked(resource);
   self.pending_is_lock = is_lock;
 
   std::vector<DecisionRecord::Option> options;
@@ -143,7 +149,7 @@ bool Scheduler::BlockOnMutex(const void* addr) {
   self.run = ThreadState::Run::kBlockedMutex;
   self.wait_addr = addr;
   self.pending_tag = "mutex.lock";
-  self.pending_resource = addr;
+  self.pending_resource = ResourceIdLocked(addr);
   self.pending_is_lock = true;
   current_ = -1;
   ScheduleNextLocked();
@@ -173,7 +179,7 @@ bool Scheduler::BlockOnCv(const void* cv_addr, bool timed) {
   self.wait_addr = cv_addr;
   self.timed = timed;
   self.pending_tag = "cv.wake";
-  self.pending_resource = cv_addr;
+  self.pending_resource = ResourceIdLocked(cv_addr);
   self.pending_is_lock = false;
   current_ = -1;
   ScheduleNextLocked();

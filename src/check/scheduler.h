@@ -41,6 +41,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace diffindex {
@@ -55,10 +56,14 @@ struct DecisionRecord {
   struct Option {
     int thread = -1;
     // The op the thread performs next if scheduled: its last CHECK_YIELD
-    // tag, "mutex.lock" with the lock address, or "cv.wake". Used by the
-    // explorer's independence test for sleep-set pruning.
+    // tag, "mutex.lock" with the lock, or "cv.wake" with the condvar. Used
+    // by the explorer's independence test for sleep-set pruning.
     const char* tag = "start";
-    const void* resource = nullptr;
+    // The op's resource, numbered in the order the run first met it (0 =
+    // none). Sleep sets carry options from one run into the next, so this
+    // must name the same object in both: an address would not, since each
+    // run builds a fresh cluster wherever the allocator puts it.
+    int resource = 0;
     bool is_lock = false;
   };
   std::vector<Option> options;
@@ -181,9 +186,12 @@ class Scheduler {
     bool timed = false;
     // Pending-op signature: what the thread does next when scheduled.
     const char* pending_tag = "start";
-    const void* pending_resource = nullptr;
+    int pending_resource = 0;
     bool pending_is_lock = false;
   };
+
+  // The run's number for the object at `addr` (0 for null).
+  int ResourceIdLocked(const void* addr);
 
   int ChooseLocked(const std::vector<DecisionRecord::Option>& options,
                    int running);
@@ -201,6 +209,7 @@ class Scheduler {
   std::vector<int> replay_;
   size_t decision_index_ = 0;
   std::vector<DecisionRecord> decisions_;
+  std::unordered_map<const void*, int> resource_ids_;
   std::vector<PointEvent> points_;
   std::string violation_;
   bool diverged_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
 
 #include "check/yield.h"
 #ifdef DIFFINDEX_CHECK
@@ -17,17 +18,14 @@ namespace diffindex {
 
 namespace {
 
-// End-of-row bound for cell scans: cell keys are row '\0' column, and rows
-// never contain '\0', so [row'\0', row'\x01') covers exactly one row.
+static_assert(kCellSeparator == kRowSeparator,
+              "the SST row filter keys cells by the cluster's row");
+
+// Start bound of a row's cells: cell keys are row '\0' column, and rows
+// never contain '\0'.
 std::string RowScanStart(const Slice& row) {
   std::string s(row.data(), row.size());
   s.push_back('\0');
-  return s;
-}
-
-std::string RowScanEnd(const Slice& row) {
-  std::string s(row.data(), row.size());
-  s.push_back('\x01');
   return s;
 }
 
@@ -36,6 +34,22 @@ bool ValidName(const Slice& s) {
     if (s[i] == kCellSeparator) return false;
   }
   return true;
+}
+
+// The positions of a batched request that one region holds; the region
+// reads them as one sorted batch.
+struct RegionBatch {
+  std::shared_ptr<Region> region;
+  std::vector<size_t> members;
+};
+
+std::vector<size_t>* BatchFor(const std::shared_ptr<Region>& region,
+                              std::vector<RegionBatch>* batches) {
+  for (RegionBatch& batch : *batches) {
+    if (batch.region == region) return &batch.members;
+  }
+  batches->push_back(RegionBatch{region, {}});
+  return &batches->back().members;
 }
 
 // Groups a flat cell-key scan into rows.
@@ -196,11 +210,12 @@ void RegionServer::WalGcLoop() {
 
 void RegionServer::UpdateCatalog(CatalogSnapshot snapshot) {
   CHECK_YIELD("rs.catalog.update");
+  auto next = std::make_shared<const CatalogSnapshot>(std::move(snapshot));
   MutexLock lock(catalog_mu_);
-  catalog_ = std::move(snapshot);
+  catalog_ = std::move(next);
 }
 
-CatalogSnapshot RegionServer::catalog() const {
+std::shared_ptr<const CatalogSnapshot> RegionServer::catalog() const {
   MutexLock lock(catalog_mu_);
   return catalog_;
 }
@@ -725,20 +740,32 @@ Status RegionServer::GroupCommitSync(uint64_t ticket) {
   return s;
 }
 
+std::optional<Status> RegionServer::BaseCacheGet(const std::string& table,
+                                                 const Slice& row,
+                                                 const Slice& column,
+                                                 Timestamp read_ts,
+                                                 std::string* value,
+                                                 Timestamp* version_ts) {
+  if (base_row_cache_ == nullptr) return std::nullopt;
+  switch (base_row_cache_->Lookup(table, row, column, read_ts, value,
+                                  version_ts)) {
+    case BaseRowCache::Result::kHit:
+      return Status::OK();
+    case BaseRowCache::Result::kHitDeleted:
+      return Status::NotFound(table + " (cached tombstone)");
+    case BaseRowCache::Result::kMiss:
+      break;
+  }
+  return std::nullopt;
+}
+
 Status RegionServer::CachedGet(const std::shared_ptr<Region>& region,
                                const std::string& table, const Slice& row,
                                const Slice& column, Timestamp read_ts,
                                std::string* value, Timestamp* version_ts) {
-  if (base_row_cache_ != nullptr) {
-    switch (base_row_cache_->Lookup(table, row, column, read_ts, value,
-                                    version_ts)) {
-      case BaseRowCache::Result::kHit:
-        return Status::OK();
-      case BaseRowCache::Result::kHitDeleted:
-        return Status::NotFound(table + " (cached tombstone)");
-      case BaseRowCache::Result::kMiss:
-        break;
-    }
+  if (auto cached =
+          BaseCacheGet(table, row, column, read_ts, value, version_ts)) {
+    return *cached;
   }
   return region->tree()->Get(EncodeCellKey(row, column), read_ts, value,
                              version_ts);
@@ -939,29 +966,39 @@ Status RegionServer::HandleGetRow(Slice body, std::string* response) {
   if (!GetRowRequest::DecodeFrom(&body, &req)) {
     return Status::InvalidArgument("malformed get-row");
   }
-  GetRowResponse resp;
-  resp.rows.resize(req.rows.size());
-  std::vector<LsmTree::ScanEntry> entries;
+  std::vector<RegionBatch> batches;
   for (size_t i = 0; i < req.rows.size(); i++) {
-    const std::string& row_key = req.rows[i];
     // Every row must route here; a stale client layout fails the whole
     // batch so the client refreshes and regroups (reads are idempotent).
-    auto region = FindRegion(req.table, row_key);
+    auto region = FindRegion(req.table, req.rows[i]);
     if (region == nullptr) {
-      return Status::WrongRegion(req.table + "/" + row_key);
+      return Status::WrongRegion(req.table + "/" + req.rows[i]);
     }
-    DIFFINDEX_RETURN_NOT_OK(region->tree()->Scan(RowScanStart(row_key),
-                                                 RowScanEnd(row_key),
-                                                 req.read_ts, 0, &entries));
-    RowResult& result = resp.rows[i];
-    result.found = !entries.empty();
-    result.cells.reserve(entries.size());
-    for (auto& entry : entries) {
-      std::string row, column;
-      if (!DecodeCellKey(entry.key, &row, &column)) continue;
-      result.cells.push_back(
-          RowCell{std::move(column), std::move(entry.value), entry.ts});
+    BatchFor(region, &batches)->push_back(i);
+  }
+
+  GetRowResponse resp;
+  resp.rows.resize(req.rows.size());
+  std::vector<Slice> rows;
+  for (RegionBatch& batch : batches) {
+    std::sort(batch.members.begin(), batch.members.end(),
+              [&req](size_t a, size_t b) { return req.rows[a] < req.rows[b]; });
+    rows.assign(batch.members.size(), Slice());
+    for (size_t j = 0; j < rows.size(); j++) {
+      rows[j] = req.rows[batch.members[j]];
     }
+    DIFFINDEX_RETURN_NOT_OK(batch.region->tree()->ScanRows(
+        rows, req.read_ts,
+        [&](size_t j, const Slice& cell_key, const Slice& value,
+            Timestamp ts) {
+          RowResult& result = resp.rows[batch.members[j]];
+          result.found = true;
+          const size_t column_at = rows[j].size() + 1;  // past row '\0'
+          result.cells.push_back(
+              RowCell{std::string(cell_key.data() + column_at,
+                                  cell_key.size() - column_at),
+                      value.ToString(), ts});
+        }));
   }
   resp.EncodeTo(response);
   return Status::OK();
@@ -1106,6 +1143,7 @@ Status RegionServer::HandleMultiGet(Slice body, std::string* response) {
   }
   MultiGetResponse resp;
   resp.entries.resize(req.keys.size());
+  std::vector<RegionBatch> misses;
   for (size_t i = 0; i < req.keys.size(); i++) {
     const MultiGetKey& key = req.keys[i];
     // Every key must route here; a stale client layout fails the whole
@@ -1114,16 +1152,42 @@ Status RegionServer::HandleMultiGet(Slice body, std::string* response) {
     if (region == nullptr) {
       return Status::WrongRegion(req.table + "/" + key.row);
     }
-    std::string value;
-    Timestamp ts = 0;
-    Status s = CachedGet(region, req.table, key.row, key.column, req.read_ts,
-                         &value, &ts);
-    if (s.ok()) {
-      resp.entries[i].found = true;
-      resp.entries[i].value = std::move(value);
-      resp.entries[i].ts = ts;
-    } else if (!s.IsNotFound()) {
-      return s;
+    MultiGetEntry& entry = resp.entries[i];
+    std::optional<Status> cached = BaseCacheGet(
+        req.table, key.row, key.column, req.read_ts, &entry.value, &entry.ts);
+    if (!cached.has_value()) {
+      BatchFor(region, &misses)->push_back(i);
+    } else if (cached->ok()) {
+      entry.found = true;
+    } else if (!cached->IsNotFound()) {
+      return *cached;
+    }
+  }
+
+  std::vector<std::string> cell_keys;
+  std::vector<Slice> keys;
+  std::vector<LsmTree::GetResult> results;
+  for (RegionBatch& batch : misses) {
+    // (row, column) order is cell-key order: rows hold no '\0'.
+    std::sort(batch.members.begin(), batch.members.end(),
+              [&req](size_t a, size_t b) {
+                return std::tie(req.keys[a].row, req.keys[a].column) <
+                       std::tie(req.keys[b].row, req.keys[b].column);
+              });
+    cell_keys.clear();
+    for (size_t i : batch.members) {
+      cell_keys.push_back(EncodeCellKey(req.keys[i].row, req.keys[i].column));
+    }
+    keys.assign(cell_keys.begin(), cell_keys.end());
+    batch.region->tree()->MultiGet(keys, req.read_ts, &results);
+    for (size_t k = 0; k < batch.members.size(); k++) {
+      LsmTree::GetResult& result = results[k];
+      if (result.status.IsNotFound()) continue;
+      DIFFINDEX_RETURN_NOT_OK(result.status);
+      MultiGetEntry& entry = resp.entries[batch.members[k]];
+      entry.found = true;
+      entry.value = std::move(result.value);
+      entry.ts = result.ts;
     }
   }
   resp.EncodeTo(response);

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,7 +158,9 @@ class RegionServer {
   const std::string& wal_dir() const { return wal_dir_; }
 
   void UpdateCatalog(CatalogSnapshot snapshot);
-  CatalogSnapshot catalog() const;
+  // The current catalog, shared and immutable: a put's observer reads it
+  // without copying descriptors. Never null.
+  std::shared_ptr<const CatalogSnapshot> catalog() const;
 
   // Must be set before Start() (the fabric handler and the heartbeat
   // thread read it unlocked); may be null (no indexes).
@@ -320,6 +323,12 @@ class RegionServer {
                    const std::string& table, const Slice& row,
                    const Slice& column, Timestamp read_ts, std::string* value,
                    Timestamp* version_ts);
+  // The base-row cache's answer, as CachedGet returns it; nullopt when
+  // the cache cannot certify the visible version (or there is none).
+  std::optional<Status> BaseCacheGet(const std::string& table,
+                                     const Slice& row, const Slice& column,
+                                     Timestamp read_ts, std::string* value,
+                                     Timestamp* version_ts);
 
   // Applies one put to a region: assigns the put's timestamp (when
   // `requested_ts` is 0), reads the pre-put old values into *resp when
@@ -374,7 +383,8 @@ class RegionServer {
 
   // Leaf: never held while acquiring another ranked lock.
   mutable Mutex catalog_mu_{LockRank::kLeaf, "catalog_mu_"};
-  CatalogSnapshot catalog_ GUARDED_BY(catalog_mu_);
+  std::shared_ptr<const CatalogSnapshot> catalog_ GUARDED_BY(catalog_mu_) =
+      std::make_shared<const CatalogSnapshot>();
 
   Mutex wal_mu_{LockRank::kWalMu, "wal_mu_"};
   std::vector<WalFile> wal_files_

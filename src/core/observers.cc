@@ -59,8 +59,9 @@ bool IndexManager::Touches(const IndexDescriptor& index,
 }
 
 Status IndexManager::PostApply(const PutRequest& put, Timestamp ts) {
-  const CatalogSnapshot catalog = server_->catalog();
-  const TableDescriptor* table = catalog.GetTable(put.table);
+  const std::shared_ptr<const CatalogSnapshot> catalog =
+      server_->catalog();
+  const TableDescriptor* table = catalog->GetTable(put.table);
   if (table == nullptr || table->indexes.empty()) return Status::OK();
 
   Status overall = Status::OK();
@@ -131,8 +132,9 @@ Status IndexManager::PostApply(const PutRequest& put, Timestamp ts) {
 }
 
 void IndexManager::PreFlush(const std::string& table) {
-  const CatalogSnapshot catalog = server_->catalog();
-  const TableDescriptor* desc = catalog.GetTable(table);
+  const std::shared_ptr<const CatalogSnapshot> catalog =
+      server_->catalog();
+  const TableDescriptor* desc = catalog->GetTable(table);
   // Only base tables with indexes can have pending AUQ work derived from
   // their memtables. (Sync schemes also fall back to the AUQ on failure,
   // so any indexed table gets the pause-and-drain treatment.)
@@ -155,15 +157,17 @@ void IndexManager::PreFlush(const std::string& table) {
 }
 
 void IndexManager::PostFlush(const std::string& table) {
-  const CatalogSnapshot catalog = server_->catalog();
-  const TableDescriptor* desc = catalog.GetTable(table);
+  const std::shared_ptr<const CatalogSnapshot> catalog =
+      server_->catalog();
+  const TableDescriptor* desc = catalog->GetTable(table);
   if (desc == nullptr || desc->indexes.empty()) return;
   auq_->Resume();
 }
 
 void IndexManager::OnWalReplay(const PutRequest& put, Timestamp ts) {
-  const CatalogSnapshot catalog = server_->catalog();
-  const TableDescriptor* table = catalog.GetTable(put.table);
+  const std::shared_ptr<const CatalogSnapshot> catalog =
+      server_->catalog();
+  const TableDescriptor* table = catalog->GetTable(put.table);
   if (table == nullptr || table->indexes.empty()) return;
   for (const IndexDescriptor& index : table->indexes) {
     if (!Touches(index, put.cells)) continue;
@@ -213,8 +217,9 @@ Status IndexManager::ProcessLocalTask(const IndexTask& task) {
 
 void IndexManager::OnRegionOpened(const std::string& table,
                                   uint64_t region_id) {
-  const CatalogSnapshot catalog = server_->catalog();
-  const TableDescriptor* desc = catalog.GetTable(table);
+  const std::shared_ptr<const CatalogSnapshot> catalog =
+      server_->catalog();
+  const TableDescriptor* desc = catalog->GetTable(table);
   if (desc == nullptr) return;
   bool has_local = false;
   for (const IndexDescriptor& index : desc->indexes) {

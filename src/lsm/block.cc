@@ -80,7 +80,7 @@ class Block::Iter final : public RecordIterator {
  public:
   // Holds the (cheap) Block by value plus the cache handle, so the
   // iterator is self-contained.
-  Iter(Block block, std::shared_ptr<const std::string> owner)
+  Iter(Block block, std::shared_ptr<const void> owner)
       : block_(std::move(block)), owner_(std::move(owner)) {}
 
   bool Valid() const override { return valid_; }
@@ -184,7 +184,7 @@ class Block::Iter final : public RecordIterator {
   }
 
   Block block_;
-  std::shared_ptr<const std::string> owner_;
+  std::shared_ptr<const void> owner_;
   InternalKeyComparator cmp_;
   uint32_t offset_ = 0;
   std::string key_;
@@ -194,7 +194,7 @@ class Block::Iter final : public RecordIterator {
 };
 
 std::unique_ptr<RecordIterator> Block::NewIterator(
-    std::shared_ptr<const std::string> owner) const {
+    std::shared_ptr<const void> owner) const {
   return std::make_unique<Iter>(*this, std::move(owner));
 }
 

@@ -63,7 +63,7 @@ class Block {
   // Iterator over the block in internal-key order. The returned iterator
   // holds `owner` alive (pass the cache handle).
   std::unique_ptr<RecordIterator> NewIterator(
-      std::shared_ptr<const std::string> owner) const;
+      std::shared_ptr<const void> owner) const;
 
  private:
   class Iter;

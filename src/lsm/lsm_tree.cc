@@ -25,7 +25,169 @@ bool HasSstSuffix(const std::string& name) {
 }  // namespace
 
 LsmTree::LsmTree(const LsmOptions& options, std::string dir)
-    : options_(options), dir_(std::move(dir)) {}
+    : options_(options),
+      dir_(std::move(dir)),
+      state_(std::make_shared<const State>(
+          State{std::make_shared<MemTable>(), nullptr, {}})) {
+  if (options_.metrics != nullptr) {
+    point_gets_ = options_.metrics->GetCounter("lsm.point_gets");
+    get_sst_seeks_ = options_.metrics->GetCounter("lsm.sst_seeks.get");
+    row_reads_ = options_.metrics->GetCounter("lsm.row_reads");
+    row_sst_seeks_ = options_.metrics->GetCounter("lsm.sst_seeks.row");
+  }
+}
+
+// The reads of one Get / MultiGet / ScanRows call: one state snapshot, and
+// per source one iterator made on first use and moved by seeks.
+class LsmTree::ReadBatch {
+ public:
+  explicit ReadBatch(std::shared_ptr<const State> state)
+      : state_(std::move(state)), tables_(state_->tables.size()) {}
+
+  // Newest version of `key` visible at read_ts across every source; a
+  // non-OK status if a disk store that may hold the key is unreadable.
+  LookupResult Lookup(const Slice& key, Timestamp read_ts) {
+    LookupResult best;
+    auto consider = [&best](LookupResult& candidate) {
+      if (candidate.state == LookupState::kNotPresent) return;
+      if (best.state == LookupState::kNotPresent || candidate.ts > best.ts) {
+        best = std::move(candidate);
+      }
+    };
+    // The memtable (and then imm) hold strictly newer timestamps than
+    // disk stores, so for latest-reads a hit there is final; historical
+    // reads must merge across every source because compaction mixes
+    // ages.
+    LookupResult mem = state_->mem->Get(key, read_ts);
+    consider(mem);
+    if (read_ts == kMaxTimestamp && best.state != LookupState::kNotPresent) {
+      return best;
+    }
+    if (state_->imm != nullptr) {
+      LookupResult imm = state_->imm->Get(key, read_ts);
+      consider(imm);
+      if (read_ts == kMaxTimestamp &&
+          best.state != LookupState::kNotPresent) {
+        return best;
+      }
+    }
+    for (size_t i = 0; i < tables_.size(); i++) {
+      const SstReader& table = *state_->tables[i];
+      if (!table.KeyMayMatch(key)) continue;
+      LookupResult candidate = Table(i)->Get(key, read_ts);
+      // An unreadable block may hold the newest version: answering from
+      // another store (or NotFound) would hide the corruption.
+      if (!candidate.status.ok()) return candidate;
+      consider(candidate);
+    }
+    return best;
+  }
+
+  // Visits the newest visible version of every live cell of `row`.
+  Status ReadRow(const Slice& row, size_t row_index, Timestamp read_ts,
+                 const CellVisitor& visit) {
+    prefix_.assign(row.data(), row.size());
+    prefix_.push_back(kRowSeparator);
+    target_.clear();
+    AppendInternalKey(&target_, prefix_, kMaxTimestamp,
+                      ValueType::kTombstone);
+    sources_.clear();
+    if (mem_iter_ == nullptr) mem_iter_ = state_->mem->NewIterator();
+    sources_.push_back(mem_iter_.get());
+    if (state_->imm != nullptr) {
+      if (imm_iter_ == nullptr) imm_iter_ = state_->imm->NewIterator();
+      sources_.push_back(imm_iter_.get());
+    }
+    for (size_t i = 0; i < tables_.size(); i++) {
+      const SstReader& table = *state_->tables[i];
+      if (table.RowMayMatch(row)) sources_.push_back(Table(i));
+    }
+    for (RecordIterator* source : sources_) source->Seek(target_);
+
+    // Merge the sources (youngest first on equal keys, as the merging
+    // iterator does) until every one has left the row.
+    bool have_key = false;
+    bool decided = false;
+    for (;;) {
+      RecordIterator* next = nullptr;
+      for (RecordIterator* source : sources_) {
+        if (source->Valid() &&
+            (next == nullptr || cmp_.Compare(source->key(), next->key()) < 0)) {
+          next = source;
+        }
+      }
+      if (next == nullptr) break;
+      ParsedInternalKey parsed;
+      if (!ParseInternalKey(next->key(), &parsed)) {
+        return Status::Corruption("row read: malformed internal key");
+      }
+      if (!parsed.user_key.starts_with(prefix_)) break;
+      if (!have_key || parsed.user_key != Slice(cell_key_)) {
+        cell_key_.assign(parsed.user_key.data(), parsed.user_key.size());
+        have_key = true;
+        decided = false;
+      }
+      // The newest visible version decides the cell; a tombstone hides it.
+      if (!decided && parsed.ts <= read_ts) {
+        decided = true;
+        if (parsed.type == ValueType::kPut) {
+          visit(row_index, parsed.user_key, next->value(), parsed.ts);
+        }
+      }
+      next->Next();
+    }
+    for (RecordIterator* source : sources_) {
+      DIFFINDEX_RETURN_NOT_OK(source->status());
+    }
+    return Status::OK();
+  }
+
+  // SST blocks looked up so far (block-cache hits and misses).
+  uint64_t BlocksRead() const {
+    uint64_t n = 0;
+    for (const auto& table : tables_) {
+      if (table != nullptr) n += table->blocks_read();
+    }
+    return n;
+  }
+
+ private:
+  SstIterator* Table(size_t i) {
+    if (tables_[i] == nullptr) {
+      const SstReader& table = *state_->tables[i];
+      tables_[i] = table.NewIterator();
+    }
+    return tables_[i].get();
+  }
+
+  const std::shared_ptr<const State> state_;
+  std::vector<std::unique_ptr<SstIterator>> tables_;
+  std::unique_ptr<RecordIterator> mem_iter_;
+  std::unique_ptr<RecordIterator> imm_iter_;
+  std::vector<RecordIterator*> sources_;
+  InternalKeyComparator cmp_;
+  std::string prefix_;
+  std::string target_;
+  std::string cell_key_;
+};
+
+namespace {
+
+// Get's answer from a lookup result.
+Status FinishGet(LookupResult* result, std::string* value,
+                 Timestamp* version_ts) {
+  if (!result->status.ok()) return result->status;
+  if (result->state != LookupState::kFound) return Status::NotFound();
+  *value = std::move(result->value);
+  if (version_ts != nullptr) *version_ts = result->ts;
+  return Status::OK();
+}
+
+void AddTo(obs::Counter* counter, uint64_t n) {
+  if (counter != nullptr) counter->Add(n);
+}
+
+}  // namespace
 
 std::string LsmTree::SstPath(uint64_t file_number) const {
   char buf[32];
@@ -39,7 +201,6 @@ Status LsmTree::Open(const LsmOptions& options, const std::string& dir,
   DIFFINDEX_RETURN_NOT_OK(options.env->CreateDirIfMissing(dir));
   // ANALYZER_WAIVE(naked-new): private-ctor factory
   std::unique_ptr<LsmTree> t(new LsmTree(options, dir));
-  t->mem_ = std::make_shared<MemTable>();
   DIFFINDEX_RETURN_NOT_OK(t->RecoverManifest());
   *tree = std::move(t);
   return Status::OK();
@@ -90,15 +251,21 @@ Status LsmTree::RecoverManifest() {
   // Newest first (higher file numbers are younger: flushes and compaction
   // outputs always take fresh numbers).
   std::sort(live_files.rbegin(), live_files.rend());
+  std::vector<std::shared_ptr<SstReader>> tables;
   for (uint64_t num : live_files) {
     std::shared_ptr<SstReader> reader;
     DIFFINDEX_RETURN_NOT_OK(
         SstReader::Open(options_, SstPath(num), num, &reader));
-    // Recovery runs before any reader thread exists, but tables_ is
+    tables.push_back(std::move(reader));
+    next_file_number_ = std::max(next_file_number_, num + 1);
+  }
+  {
+    // Recovery runs before any reader thread exists, but state_ is
     // GUARDED_BY(state_mu_) and the guard contract stays uniform.
     MutexLock lock(state_mu_);
-    tables_.push_back(std::move(reader));
-    next_file_number_ = std::max(next_file_number_, num + 1);
+    State next = *state_;
+    next.tables = std::move(tables);
+    Install(std::move(next));
   }
 
   // Remove orphaned .sst files (e.g. a compaction output that was written
@@ -124,11 +291,8 @@ Status LsmTree::WriteManifest() {
   out << "applied_seq " << durable_seq_.load(std::memory_order_acquire)
       << "\n";
   out << "next_file " << next_file_number_ << "\n";
-  {
-    MutexLock lock(state_mu_);
-    for (const auto& table : tables_) {
-      out << "file " << table->meta().file_number << "\n";
-    }
+  for (const auto& table : Snapshot()->tables) {
+    out << "file " << table->meta().file_number << "\n";
   }
   const std::string tmp_path = dir_ + "/" + kManifestTmpName;
   std::unique_ptr<WritableFile> file;
@@ -142,9 +306,13 @@ Status LsmTree::WriteManifest() {
   return options_.env->RenameFile(tmp_path, dir_ + "/" + kManifestName);
 }
 
-LsmTree::State LsmTree::CopyState() const {
+std::shared_ptr<const LsmTree::State> LsmTree::Snapshot() const {
   MutexLock lock(state_mu_);
-  return State{mem_, imm_, tables_};
+  return state_;
+}
+
+void LsmTree::Install(State next) {
+  state_ = std::make_shared<const State>(std::move(next));
 }
 
 Status LsmTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
@@ -152,7 +320,7 @@ Status LsmTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
   std::shared_ptr<MemTable> mem;
   {
     MutexLock lock(state_mu_);
-    mem = mem_;
+    mem = state_->mem;
   }
   // ANALYZER_WAIVE(log-before-apply): LsmTree is WAL-agnostic by
   // contract — logging is the caller's job (LogAndApply appends before
@@ -167,7 +335,7 @@ Status LsmTree::Delete(const Slice& key, Timestamp ts) {
   std::shared_ptr<MemTable> mem;
   {
     MutexLock lock(state_mu_);
-    mem = mem_;
+    mem = state_->mem;
   }
   // ANALYZER_WAIVE(log-before-apply): same caller-logs contract as Put.
   mem->Add(key, ts, ValueType::kTombstone, Slice());
@@ -176,7 +344,7 @@ Status LsmTree::Delete(const Slice& key, Timestamp ts) {
 
 bool LsmTree::NeedsFlush() const {
   MutexLock lock(state_mu_);
-  return mem_->DataBytes() >= options_.memtable_flush_bytes;
+  return state_->mem->DataBytes() >= options_.memtable_flush_bytes;
 }
 
 Status LsmTree::Flush() {
@@ -188,10 +356,12 @@ Status LsmTree::Flush() {
     // The caller serializes Flush against Put/Delete, so every edit up to
     // applied_seq_ is in the memtable being swapped out.
     seq_at_swap = applied_seq_.load(std::memory_order_acquire);
-    if (mem_->NumEntries() == 0) return Status::OK();
-    imm_ = mem_;
-    mem_ = std::make_shared<MemTable>();
-    imm = imm_;
+    if (state_->mem->NumEntries() == 0) return Status::OK();
+    State next = *state_;
+    next.imm = std::move(next.mem);
+    next.mem = std::make_shared<MemTable>();
+    imm = next.imm;
+    Install(std::move(next));
   }
 
   const uint64_t file_number = next_file_number_++;
@@ -205,16 +375,17 @@ Status LsmTree::Flush() {
   }
   if (!build_status.ok()) {
     // Put the memtable back so no data is lost; the caller may retry. The
-    // caller serializes Flush against Put/Delete, so mem_ is still the empty
+    // caller serializes Flush against Put/Delete, so mem is still the empty
     // table installed at swap time and imm can slot straight back in. If a
-    // write did race in, keep imm_ readable instead of merging.
+    // write did race in, keep imm readable instead of merging.
     // Best-effort: the half-built store is not in the manifest, so a
     // failed delete just leaves an orphan for the next open to collect.
     options_.env->RemoveFile(SstPath(file_number)).IgnoreError();
     MutexLock lock(state_mu_);
-    if (mem_->NumEntries() == 0) {
-      mem_ = imm_;
-      imm_.reset();
+    if (state_->mem->NumEntries() == 0) {
+      State next = *state_;
+      next.mem = std::move(next.imm);
+      Install(std::move(next));
     }
     return build_status;
   }
@@ -227,8 +398,10 @@ Status LsmTree::Flush() {
   Timestamp flushed = imm->MaxTimestamp();
   {
     MutexLock lock(state_mu_);
-    tables_.insert(tables_.begin(), std::move(reader));
-    imm_.reset();
+    State next = *state_;
+    next.tables.insert(next.tables.begin(), std::move(reader));
+    next.imm.reset();
+    Install(std::move(next));
   }
   Timestamp prev = flushed_ts_.load(std::memory_order_acquire);
   while (flushed > prev && !flushed_ts_.compare_exchange_weak(
@@ -246,12 +419,7 @@ Status LsmTree::Flush() {
         ->Add(static_cast<uint64_t>(micros));
   }
 
-  int num_tables;
-  {
-    MutexLock lock(state_mu_);
-    num_tables = static_cast<int>(tables_.size());
-  }
-  if (num_tables >= options_.compaction_trigger) {
+  if (NumDiskStores() >= options_.compaction_trigger) {
     return CompactAll();
   }
   return Status::OK();
@@ -259,11 +427,7 @@ Status LsmTree::Flush() {
 
 Status LsmTree::CompactAll() {
   const auto compact_start = std::chrono::steady_clock::now();
-  std::vector<std::shared_ptr<SstReader>> inputs;
-  {
-    MutexLock lock(state_mu_);
-    inputs = tables_;
-  }
+  const std::vector<std::shared_ptr<SstReader>> inputs = Snapshot()->tables;
   if (inputs.size() <= 1) return Status::OK();
 
   const uint64_t file_number = next_file_number_++;
@@ -284,16 +448,17 @@ Status LsmTree::CompactAll() {
   {
     MutexLock lock(state_mu_);
     // Tables flushed while we compacted stay in front.
-    std::vector<std::shared_ptr<SstReader>> remaining;
-    for (const auto& t : tables_) {
+    State next = *state_;
+    next.tables.clear();
+    for (const auto& t : state_->tables) {
       if (std::find(inputs.begin(), inputs.end(), t) == inputs.end()) {
-        remaining.push_back(t);
+        next.tables.push_back(t);
       } else {
         obsolete.push_back(t);
       }
     }
-    remaining.push_back(std::move(reader));
-    tables_ = std::move(remaining);
+    next.tables.push_back(std::move(reader));
+    Install(std::move(next));
   }
   DIFFINDEX_RETURN_NOT_OK(WriteManifest());
   for (const auto& t : obsolete) {
@@ -328,47 +493,37 @@ Status LsmTree::CompactAll() {
 Status LsmTree::Get(const Slice& key, Timestamp read_ts, std::string* value,
                     Timestamp* version_ts) {
   num_gets_.fetch_add(1, std::memory_order_relaxed);
-  const State state = CopyState();
+  ReadBatch batch(Snapshot());
+  LookupResult result = batch.Lookup(key, read_ts);
+  AddTo(point_gets_, 1);
+  AddTo(get_sst_seeks_, batch.BlocksRead());
+  return FinishGet(&result, value, version_ts);
+}
 
-  LookupResult best;
-
-  auto consider = [&best](const LookupResult& candidate) {
-    if (candidate.state == LookupState::kNotPresent) return;
-    if (best.state == LookupState::kNotPresent || candidate.ts > best.ts) {
-      best = candidate;
-    }
-  };
-
-  // The memtable (and then imm) hold strictly newer timestamps than disk
-  // stores, so for latest-reads a hit there is final; historical reads
-  // must merge across every source because compaction mixes ages.
-  consider(state.mem->Get(key, read_ts));
-  const bool mem_decides =
-      read_ts == kMaxTimestamp && best.state != LookupState::kNotPresent;
-  if (!mem_decides) {
-    bool imm_decides = false;
-    if (state.imm != nullptr) {
-      consider(state.imm->Get(key, read_ts));
-      imm_decides =
-          read_ts == kMaxTimestamp && best.state != LookupState::kNotPresent;
-    }
-    if (!imm_decides) {
-      for (const auto& table : state.tables) {
-        LookupResult candidate = table->Get(key, read_ts);
-        // An unreadable block may hold the newest version: answering from
-        // another store (or NotFound) would hide the corruption.
-        if (!candidate.status.ok()) return candidate.status;
-        consider(candidate);
-      }
-    }
+void LsmTree::MultiGet(const std::vector<Slice>& keys, Timestamp read_ts,
+                       std::vector<GetResult>* out) {
+  num_gets_.fetch_add(keys.size(), std::memory_order_relaxed);
+  ReadBatch batch(Snapshot());
+  out->resize(keys.size());
+  for (size_t i = 0; i < keys.size(); i++) {
+    LookupResult result = batch.Lookup(keys[i], read_ts);
+    GetResult& slot = (*out)[i];
+    slot.status = FinishGet(&result, &slot.value, &slot.ts);
   }
+  AddTo(point_gets_, keys.size());
+  AddTo(get_sst_seeks_, batch.BlocksRead());
+}
 
-  if (best.state != LookupState::kFound) {
-    return Status::NotFound();
+Status LsmTree::ScanRows(const std::vector<Slice>& rows, Timestamp read_ts,
+                         const CellVisitor& visit) {
+  ReadBatch batch(Snapshot());
+  Status s;
+  for (size_t i = 0; i < rows.size() && s.ok(); i++) {
+    s = batch.ReadRow(rows[i], i, read_ts, visit);
   }
-  *value = std::move(best.value);
-  if (version_ts != nullptr) *version_ts = best.ts;
-  return Status::OK();
+  AddTo(row_reads_, rows.size());
+  AddTo(row_sst_seeks_, batch.BlocksRead());
+  return s;
 }
 
 std::unique_ptr<RecordIterator> LsmTree::NewInternalIterator(
@@ -385,8 +540,8 @@ std::unique_ptr<RecordIterator> LsmTree::NewInternalIterator(
 Status LsmTree::Scan(const Slice& start, const Slice& end, Timestamp read_ts,
                      size_t limit, std::vector<ScanEntry>* out) {
   out->clear();
-  const State state = CopyState();
-  auto iter = NewInternalIterator(state);
+  const std::shared_ptr<const State> state = Snapshot();
+  auto iter = NewInternalIterator(*state);
 
   const std::string seek_target =
       MakeInternalKey(start, kMaxTimestamp, ValueType::kTombstone);
@@ -424,8 +579,8 @@ Status LsmTree::Scan(const Slice& start, const Slice& end, Timestamp read_ts,
 
 Status LsmTree::ExportRecords(const Slice& start, const Slice& end,
                               LsmTree* target) {
-  const State state = CopyState();
-  auto iter = NewInternalIterator(state);
+  const std::shared_ptr<const State> state = Snapshot();
+  auto iter = NewInternalIterator(*state);
   iter->Seek(MakeInternalKey(start, kMaxTimestamp, ValueType::kTombstone));
   Timestamp last_ts = 0;
   bool last_tombstone = false;
@@ -460,8 +615,8 @@ Status LsmTree::ExportRecords(const Slice& start, const Slice& end,
 
 Status LsmTree::GetVersions(const Slice& key, std::vector<Version>* out) {
   out->clear();
-  const State state = CopyState();
-  auto iter = NewInternalIterator(state);
+  const std::shared_ptr<const State> state = Snapshot();
+  auto iter = NewInternalIterator(*state);
   iter->Seek(MakeInternalKey(key, kMaxTimestamp, ValueType::kTombstone));
   Timestamp last_ts = 0;
   bool last_tombstone = false;
@@ -485,17 +640,17 @@ Status LsmTree::GetVersions(const Slice& key, std::vector<Version>* out) {
 
 size_t LsmTree::MemtableBytes() const {
   MutexLock lock(state_mu_);
-  return mem_->ApproximateMemoryUsage();
+  return state_->mem->ApproximateMemoryUsage();
 }
 
 uint64_t LsmTree::MemtableEntries() const {
   MutexLock lock(state_mu_);
-  return mem_->NumEntries();
+  return state_->mem->NumEntries();
 }
 
 int LsmTree::NumDiskStores() const {
   MutexLock lock(state_mu_);
-  return static_cast<int>(tables_.size());
+  return static_cast<int>(state_->tables.size());
 }
 
 }  // namespace diffindex

@@ -20,6 +20,7 @@
 #define DIFFINDEX_LSM_LSM_TREE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,6 +67,33 @@ class LsmTree {
   // receives the version's timestamp.
   Status Get(const Slice& key, Timestamp read_ts, std::string* value,
              Timestamp* version_ts = nullptr);
+
+  // What Get returns for one key of a MultiGet.
+  struct GetResult {
+    Status status;  // OK, NotFound or Corruption
+    std::string value;
+    Timestamp ts = 0;
+  };
+  // Get of every key at one snapshot: (*out)[i] is Get(keys[i]). Each
+  // disk store is read through one iterator moved forward by seeks, so
+  // ascending keys read a block at most once per batch; any order is
+  // correct.
+  void MultiGet(const std::vector<Slice>& keys, Timestamp read_ts,
+                std::vector<GetResult>* out);
+
+  // Called once per live cell of a row read, in key order: the row's
+  // position in the request, the cell's user key (`row '\0' column`, see
+  // RowOf), and the newest version visible at the read timestamp.
+  using CellVisitor =
+      std::function<void(size_t row_index, const Slice& cell_key,
+                          const Slice& value, Timestamp ts)>;
+  // Reads whole rows at one snapshot: every key that starts with
+  // `rows[i] '\0'`, newest visible version, tombstoned cells left out.
+  // Like MultiGet it moves one iterator per source forward, and it skips
+  // a disk store whose filter or key range excludes the row. Fails with
+  // the first unreadable block of a store it reads.
+  Status ScanRows(const std::vector<Slice>& rows, Timestamp read_ts,
+                  const CellVisitor& visit);
 
   struct ScanEntry {
     std::string key;
@@ -121,13 +149,20 @@ class LsmTree {
  private:
   LsmTree(const LsmOptions& options, std::string dir);
 
+  // The sources a read consults. Immutable once published: a flush or
+  // compaction publishes a new State, so a reader takes one reference
+  // (Snapshot) instead of copying the source list.
   struct State {
     std::shared_ptr<MemTable> mem;
     std::shared_ptr<MemTable> imm;  // memtable being flushed, may be null
     std::vector<std::shared_ptr<SstReader>> tables;  // newest first
   };
 
-  State CopyState() const;
+  class ReadBatch;
+
+  std::shared_ptr<const State> Snapshot() const;
+  // Publishes `next` as the current state. REQUIRES: state_mu_ held.
+  void Install(State next) REQUIRES(state_mu_);
   Status WriteManifest();
   Status RecoverManifest();
   std::string SstPath(uint64_t file_number) const;
@@ -139,10 +174,8 @@ class LsmTree {
   const LsmOptions options_;
   const std::string dir_;
 
-  mutable Mutex state_mu_;  // guards mem_/imm_/tables_ pointer swaps
-  std::shared_ptr<MemTable> mem_ GUARDED_BY(state_mu_);
-  std::shared_ptr<MemTable> imm_ GUARDED_BY(state_mu_);
-  std::vector<std::shared_ptr<SstReader>> tables_ GUARDED_BY(state_mu_);
+  mutable Mutex state_mu_;  // guards the state_ pointer swap
+  std::shared_ptr<const State> state_ GUARDED_BY(state_mu_);
 
   // Only touched on the externally-serialized write path (Open/Flush/
   // Compact), so it needs no lock of its own.
@@ -152,6 +185,13 @@ class LsmTree {
   std::atomic<uint64_t> durable_seq_{0};  // persisted at flush
   std::atomic<uint64_t> num_gets_{0};
   std::atomic<uint64_t> num_puts_{0};
+
+  // Read-path counters, interned at open (null without a registry): keys
+  // point-read and rows read, and the SST blocks each kind looked up.
+  obs::Counter* point_gets_ = nullptr;
+  obs::Counter* get_sst_seeks_ = nullptr;
+  obs::Counter* row_reads_ = nullptr;
+  obs::Counter* row_sst_seeks_ = nullptr;
 };
 
 }  // namespace diffindex

@@ -1,6 +1,7 @@
 #include "lsm/record.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "util/coding.h"
 
@@ -21,42 +22,18 @@ std::string MakeInternalKey(const Slice& user_key, Timestamp ts,
   return out;
 }
 
-bool ParseInternalKey(const Slice& internal_key, ParsedInternalKey* result) {
-  if (internal_key.size() < kInternalKeyTrailer) return false;
-  const size_t user_len = internal_key.size() - kInternalKeyTrailer;
-  result->user_key = Slice(internal_key.data(), user_len);
-  result->ts = DecodeFixed64(internal_key.data() + user_len);
-  const auto type_byte = static_cast<uint8_t>(
-      internal_key[internal_key.size() - 1]);
-  if (type_byte > static_cast<uint8_t>(ValueType::kPut)) return false;
-  result->type = static_cast<ValueType>(type_byte);
-  return true;
-}
-
 Slice ExtractUserKey(const Slice& internal_key) {
   assert(internal_key.size() >= kInternalKeyTrailer);
   return Slice(internal_key.data(),
                internal_key.size() - kInternalKeyTrailer);
 }
 
-int InternalKeyComparator::Compare(const Slice& a, const Slice& b) const {
-  ParsedInternalKey pa, pb;
-  const bool ok_a = ParseInternalKey(a, &pa);
-  const bool ok_b = ParseInternalKey(b, &pb);
-  assert(ok_a && ok_b);
-  (void)ok_a;
-  (void)ok_b;
-  int r = pa.user_key.compare(pb.user_key);
-  if (r != 0) return r;
-  // Newer timestamps sort first.
-  if (pa.ts > pb.ts) return -1;
-  if (pa.ts < pb.ts) return +1;
-  // Tombstone (0) before put (1) at equal timestamp.
-  const auto ta = static_cast<uint8_t>(pa.type);
-  const auto tb = static_cast<uint8_t>(pb.type);
-  if (ta < tb) return -1;
-  if (ta > tb) return +1;
-  return 0;
+Slice RowOf(const Slice& user_key) {
+  const void* sep = memchr(user_key.data(), kRowSeparator, user_key.size());
+  if (sep == nullptr) return user_key;
+  return Slice(user_key.data(),
+               static_cast<size_t>(static_cast<const char*>(sep) -
+                                   user_key.data()));
 }
 
 }  // namespace diffindex

@@ -1,7 +1,9 @@
 #include "lsm/sstable.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <cstring>
 
 #include "fault/failpoint.h"
 #include "util/bloom.h"
@@ -12,22 +14,50 @@ namespace diffindex {
 
 namespace {
 
-constexpr uint64_t kTableMagic = 0xd1ff1d8e5b10c4f3ull;
+// The footer magic is the format version (see sstable.h).
+constexpr uint64_t kTableMagicCellFilter = 0xd1ff1d8e5b10c4f3ull;
+constexpr uint64_t kTableMagicRowFilter = 0xd1ff1d8e5b10c4f4ull;
 constexpr size_t kFooterSize = 48;
+constexpr size_t kBlockTrailerSize = 4;  // masked crc32c
+
+std::atomic<uint64_t> next_cache_id{1};
 
 void AppendBlockTrailer(std::string* block) {
   PutFixed32(block, crc32c::Mask(crc32c::Value(block->data(), block->size())));
 }
 
-Status VerifyAndStripTrailer(std::string* block) {
-  if (block->size() < 4) return Status::Corruption("block too small");
-  const size_t payload = block->size() - 4;
+// `block` is a payload followed by its trailer.
+Status VerifyTrailer(const Slice& block) {
+  if (block.size() < kBlockTrailerSize) {
+    return Status::Corruption("block too small");
+  }
+  const size_t payload = block.size() - kBlockTrailerSize;
   const uint32_t expected =
-      crc32c::Unmask(DecodeFixed32(block->data() + payload));
-  if (crc32c::Value(block->data(), payload) != expected) {
+      crc32c::Unmask(DecodeFixed32(block.data() + payload));
+  if (crc32c::Value(block.data(), payload) != expected) {
     return Status::Corruption("block checksum mismatch");
   }
-  block->resize(payload);
+  return Status::OK();
+}
+
+// Reads the filter or index block at [offset, offset + size + trailer).
+Status ReadMetaBlock(RandomAccessFile* file, const std::string& path,
+                     const char* what, uint64_t offset, uint64_t size,
+                     std::string* block) {
+  block->resize(size + kBlockTrailerSize);
+  Slice result;
+  DIFFINDEX_RETURN_NOT_OK(
+      file->Read(offset, block->size(), &result, block->data()));
+  if (result.size() != block->size()) {
+    return Status::Corruption(std::string("short ") + what + " read: " +
+                              path);
+  }
+  DIFFINDEX_RETURN_NOT_OK(VerifyTrailer(result));
+  if (result.data() == block->data()) {
+    block->resize(size);
+  } else {
+    block->assign(result.data(), size);
+  }
   return Status::OK();
 }
 
@@ -48,11 +78,11 @@ Status SstBuilder::Add(const Slice& internal_key, const Slice& value) {
   if (num_entries_ == 0) {
     smallest_user_key_ = parsed.user_key.ToString();
   }
-  largest_user_key_ = parsed.user_key.ToString();
 
-  if (filter_user_keys_.empty() ||
-      Slice(filter_user_keys_.back()) != parsed.user_key) {
-    filter_user_keys_.push_back(parsed.user_key.ToString());
+  // Keys arrive sorted, and so do their rows (see RowOf).
+  const Slice row = RowOf(parsed.user_key);
+  if (filter_rows_.empty() || Slice(filter_rows_.back()) != row) {
+    filter_rows_.push_back(row.ToString());
   }
 
   data_block_.Add(internal_key, value);
@@ -94,8 +124,8 @@ Status SstBuilder::Finish(SstMeta* meta) {
   std::string filter_block;
   if (options_.bloom_bits_per_key > 0) {
     std::vector<Slice> keys;
-    keys.reserve(filter_user_keys_.size());
-    for (const auto& k : filter_user_keys_) keys.emplace_back(k);
+    keys.reserve(filter_rows_.size());
+    for (const auto& row : filter_rows_) keys.emplace_back(row);
     BloomFilterPolicy policy(options_.bloom_bits_per_key);
     policy.CreateFilter(keys, &filter_block);
   }
@@ -118,7 +148,7 @@ Status SstBuilder::Finish(SstMeta* meta) {
   PutFixed64(&footer, filter_offset);
   PutFixed64(&footer, filter_size);
   PutFixed64(&footer, num_entries_);
-  PutFixed64(&footer, kTableMagic);
+  PutFixed64(&footer, kTableMagicRowFilter);
   assert(footer.size() == kFooterSize);
   DIFFINDEX_RETURN_NOT_OK(file_->Append(footer));
   offset_ += footer.size();
@@ -129,8 +159,17 @@ Status SstBuilder::Finish(SstMeta* meta) {
   meta->file_size = offset_;
   meta->num_entries = num_entries_;
   meta->smallest_user_key = smallest_user_key_;
-  meta->largest_user_key = largest_user_key_;
+  meta->largest_user_key =
+      num_entries_ == 0 ? "" : ExtractUserKey(last_key_).ToString();
   return Status::OK();
+}
+
+SstReader::SstReader(const LsmOptions& options, std::string path,
+                     uint64_t file_number)
+    : options_(options),
+      path_(std::move(path)),
+      cache_id_(next_cache_id.fetch_add(1, std::memory_order_relaxed)) {
+  meta_.file_number = file_number;
 }
 
 Status SstReader::Open(const LsmOptions& options, const std::string& path,
@@ -138,8 +177,9 @@ Status SstReader::Open(const LsmOptions& options, const std::string& path,
                        std::shared_ptr<SstReader>* reader) {
   // ANALYZER_WAIVE(naked-new): private-ctor factory
   std::shared_ptr<SstReader> r(new SstReader(options, path, file_number));
-  DIFFINDEX_RETURN_NOT_OK(
-      options.env->NewRandomAccessFile(path, &r->file_));
+  std::unique_ptr<RandomAccessFile> file;
+  DIFFINDEX_RETURN_NOT_OK(options.env->NewRandomAccessFile(path, &file));
+  r->file_ = std::move(file);
   const uint64_t file_size = r->file_->Size();
   if (file_size < kFooterSize) {
     return Status::Corruption("sstable too small: " + path);
@@ -158,47 +198,29 @@ Status SstReader::Open(const LsmOptions& options, const std::string& path,
   const uint64_t filter_size = DecodeFixed64(footer.data() + 24);
   const uint64_t num_entries = DecodeFixed64(footer.data() + 32);
   const uint64_t magic = DecodeFixed64(footer.data() + 40);
-  if (magic != kTableMagic) {
+  if (magic != kTableMagicRowFilter && magic != kTableMagicCellFilter) {
     return Status::Corruption("bad table magic: " + path);
   }
+  r->row_filter_ = magic == kTableMagicRowFilter;
 
-  // Load + verify filter block.
-  {
-    std::string block(filter_size + 4, '\0');
-    Slice result;
-    DIFFINDEX_RETURN_NOT_OK(
-        r->file_->Read(filter_offset, filter_size + 4, &result, block.data()));
-    if (result.size() != filter_size + 4) {
-      return Status::Corruption("short filter read: " + path);
+  DIFFINDEX_RETURN_NOT_OK(ReadMetaBlock(r->file_.get(), path, "filter",
+                                        filter_offset, filter_size,
+                                        &r->filter_));
+  std::string index_block;
+  DIFFINDEX_RETURN_NOT_OK(ReadMetaBlock(r->file_.get(), path, "index",
+                                        index_offset, index_size,
+                                        &index_block));
+  Slice input(index_block);
+  while (!input.empty()) {
+    IndexEntry entry;
+    Slice key;
+    if (!GetLengthPrefixedSlice(&input, &key) ||
+        !GetFixed64(&input, &entry.offset) ||
+        !GetFixed64(&input, &entry.size)) {
+      return Status::Corruption("malformed index entry: " + path);
     }
-    block.resize(result.size());
-    DIFFINDEX_RETURN_NOT_OK(VerifyAndStripTrailer(&block));
-    r->filter_ = std::move(block);
-  }
-
-  // Load + verify + parse index block.
-  {
-    std::string block(index_size + 4, '\0');
-    Slice result;
-    DIFFINDEX_RETURN_NOT_OK(
-        r->file_->Read(index_offset, index_size + 4, &result, block.data()));
-    if (result.size() != index_size + 4) {
-      return Status::Corruption("short index read: " + path);
-    }
-    block.resize(result.size());
-    DIFFINDEX_RETURN_NOT_OK(VerifyAndStripTrailer(&block));
-    Slice input(block);
-    while (!input.empty()) {
-      IndexEntry entry;
-      Slice key;
-      if (!GetLengthPrefixedSlice(&input, &key) ||
-          !GetFixed64(&input, &entry.offset) ||
-          !GetFixed64(&input, &entry.size)) {
-        return Status::Corruption("malformed index entry: " + path);
-      }
-      entry.last_key = key.ToString();
-      r->index_.push_back(std::move(entry));
-    }
+    entry.last_key = key.ToString();
+    r->index_.push_back(std::move(entry));
   }
 
   r->meta_.file_size = file_size;
@@ -206,13 +228,11 @@ Status SstReader::Open(const LsmOptions& options, const std::string& path,
   if (!r->index_.empty()) {
     // Recover the key range from the first/last blocks: smallest is the
     // first key of block 0; largest the user key of the last index key.
-    std::shared_ptr<const std::string> first_block;
-    DIFFINDEX_RETURN_NOT_OK(r->ReadBlock(0, &first_block));
-    Block block{Slice(*first_block)};
-    auto iter = block.NewIterator(first_block);
-    iter->SeekToFirst();
-    if (iter->Valid()) {
-      r->meta_.smallest_user_key = ExtractUserKey(iter->key()).ToString();
+    SstIterator first(r.get());
+    first.SeekToFirst();
+    DIFFINDEX_RETURN_NOT_OK(first.status());
+    if (first.Valid()) {
+      r->meta_.smallest_user_key = ExtractUserKey(first.key()).ToString();
     }
     r->meta_.largest_user_key =
         ExtractUserKey(Slice(r->index_.back().last_key)).ToString();
@@ -222,10 +242,28 @@ Status SstReader::Open(const LsmOptions& options, const std::string& path,
   return Status::OK();
 }
 
-bool SstReader::KeyMayMatch(const Slice& user_key) const {
+bool SstReader::FilterMayMatch(const Slice& key) const {
   if (filter_.empty() || options_.bloom_bits_per_key <= 0) return true;
   BloomFilterPolicy policy(options_.bloom_bits_per_key);
-  return policy.KeyMayMatch(user_key, filter_);
+  return policy.KeyMayMatch(key, filter_);
+}
+
+bool SstReader::KeyMayMatch(const Slice& user_key) const {
+  if (index_.empty() || user_key.compare(meta_.smallest_user_key) < 0 ||
+      user_key.compare(meta_.largest_user_key) > 0) {
+    return false;
+  }
+  return FilterMayMatch(row_filter_ ? RowOf(user_key) : user_key);
+}
+
+bool SstReader::RowMayMatch(const Slice& row) const {
+  // Keys sort by row, so the table's rows span RowOf(smallest) ..
+  // RowOf(largest).
+  if (index_.empty() || row.compare(RowOf(meta_.smallest_user_key)) < 0 ||
+      row.compare(RowOf(meta_.largest_user_key)) > 0) {
+    return false;
+  }
+  return !row_filter_ || FilterMayMatch(row);
 }
 
 size_t SstReader::FindBlock(const Slice& target_internal_key) const {
@@ -244,135 +282,132 @@ size_t SstReader::FindBlock(const Slice& target_internal_key) const {
 }
 
 Status SstReader::ReadBlock(size_t block_idx,
-                            std::shared_ptr<const std::string>* block) const {
+                            std::shared_ptr<const char[]>* block) const {
   const IndexEntry& entry = index_[block_idx];
   std::string cache_key;
   if (options_.block_cache != nullptr) {
-    // The cache is shared by every tree on a server, so the key must be
-    // globally unique: the file path qualifies the per-tree file number.
-    cache_key = path_ + ":" + std::to_string(entry.offset);
-    auto cached = options_.block_cache->Lookup(cache_key);
+    // Two varints, well inside std::string's inline buffer: building the
+    // key allocates nothing.
+    PutVarint64(&cache_key, cache_id_);
+    PutVarint64(&cache_key, entry.offset);
+    LruCache::Handle cached = options_.block_cache->Lookup(cache_key);
     if (cached != nullptr) {
-      *block = std::move(cached);
+      *block = std::static_pointer_cast<const char[]>(std::move(cached));
       return Status::OK();
     }
   }
 
   // Cache miss: one random I/O into the disk store.
   if (options_.latency != nullptr) options_.latency->DiskRead();
-  auto owned = std::make_shared<std::string>();
-  owned->resize(entry.size + 4);
-  Slice result;
-  DIFFINDEX_RETURN_NOT_OK(
-      file_->Read(entry.offset, entry.size + 4, &result, owned->data()));
-  if (result.size() != entry.size + 4) {
-    return Status::Corruption("short block read: " + path_);
+  const size_t n = entry.size + kBlockTrailerSize;
+  std::shared_ptr<const char[]> read;
+  const Slice contents = file_->Contents();
+  if (!contents.empty()) {
+    // The file is mapped: verify the block where it lies and hand out a
+    // handle that shares the file's ownership (no syscall, no allocation,
+    // no copy).
+    if (entry.offset > contents.size() || n > contents.size() - entry.offset) {
+      return Status::Corruption("short block read: " + path_);
+    }
+    const Slice raw(contents.data() + entry.offset, n);
+    DIFFINDEX_RETURN_NOT_OK(VerifyTrailer(raw));
+    read = std::shared_ptr<const char[]>(file_, raw.data());
+  } else {
+    // Read into the buffer the cache keeps: one allocation, no zero-fill.
+    std::shared_ptr<char[]> owned =
+        std::make_shared_for_overwrite<char[]>(n);
+    Slice result;
+    DIFFINDEX_RETURN_NOT_OK(
+        file_->Read(entry.offset, n, &result, owned.get()));
+    if (result.size() != n) {
+      return Status::Corruption("short block read: " + path_);
+    }
+    DIFFINDEX_RETURN_NOT_OK(VerifyTrailer(result));
+    read = std::move(owned);
   }
-  owned->resize(result.size());
-  DIFFINDEX_RETURN_NOT_OK(VerifyAndStripTrailer(owned.get()));
   if (options_.block_cache != nullptr) {
-    options_.block_cache->Insert(cache_key, owned, owned->size());
+    options_.block_cache->Insert(cache_key, read, entry.size);
   }
-  *block = std::move(owned);
+  *block = std::move(read);
   return Status::OK();
 }
 
 LookupResult SstReader::Get(const Slice& user_key, Timestamp read_ts) const {
+  if (!KeyMayMatch(user_key)) return LookupResult();
+  SstIterator iter(this);
+  return iter.Get(user_key, read_ts);
+}
+
+std::unique_ptr<SstIterator> SstReader::NewIterator() const {
+  return std::make_unique<SstIterator>(this);
+}
+
+void SstIterator::SeekToFirst() {
+  if (!LoadBlock(0)) return;
+  block_iter_->SeekToFirst();
+  SkipExhaustedBlocks();
+}
+
+void SstIterator::Seek(const Slice& target) {
+  if (!LoadBlock(table_->FindBlock(target))) return;
+  block_iter_->Seek(target);
+  SkipExhaustedBlocks();
+}
+
+void SstIterator::Next() {
+  assert(Valid());
+  block_iter_->Next();
+  SkipExhaustedBlocks();
+}
+
+Status SstIterator::status() const {
+  if (!status_.ok()) return status_;
+  return block_iter_ != nullptr ? block_iter_->status() : Status::OK();
+}
+
+LookupResult SstIterator::Get(const Slice& user_key,
+                                      Timestamp read_ts) {
   LookupResult result;
-  if (!KeyMayMatch(user_key)) return result;
-  const std::string target =
-      MakeInternalKey(user_key, read_ts, ValueType::kTombstone);
-  const size_t block_idx = FindBlock(target);
-  if (block_idx >= index_.size()) return result;
-
-  std::shared_ptr<const std::string> block_contents;
-  result.status = ReadBlock(block_idx, &block_contents);
-  if (!result.status.ok()) return result;
-
-  Block block{Slice(*block_contents)};
-  auto iter = block.NewIterator(block_contents);
-  iter->Seek(target);
-  if (!iter->Valid()) return result;
-
+  target_.clear();
+  AppendInternalKey(&target_, user_key, read_ts, ValueType::kTombstone);
+  Seek(target_);
+  if (!Valid()) {
+    result.status = status();
+    return result;
+  }
   ParsedInternalKey parsed;
-  if (!ParseInternalKey(iter->key(), &parsed)) return result;
+  if (!ParseInternalKey(key(), &parsed)) return result;
   if (parsed.user_key != user_key) return result;  // key not in table
   result.ts = parsed.ts;
   if (parsed.type == ValueType::kTombstone) {
     result.state = LookupState::kDeleted;
   } else {
     result.state = LookupState::kFound;
-    result.value = iter->value().ToString();
+    result.value = value().ToString();
   }
   return result;
 }
 
-class SstReader::Iter final : public RecordIterator {
- public:
-  explicit Iter(const SstReader* table) : table_(table) {}
+bool SstIterator::LoadBlock(size_t idx) {
+  if (block_iter_ != nullptr && idx == block_idx_) return true;
+  block_iter_.reset();
+  block_idx_ = idx;
+  if (idx >= table_->index_.size()) return false;
+  blocks_read_++;
+  std::shared_ptr<const char[]> contents;
+  status_ = table_->ReadBlock(idx, &contents);
+  if (!status_.ok()) return false;
+  Block block{Slice(contents.get(), table_->index_[idx].size)};
+  block_iter_ = block.NewIterator(std::move(contents));
+  return true;
+}
 
-  bool Valid() const override {
-    return block_iter_ != nullptr && block_iter_->Valid();
-  }
-
-  void SeekToFirst() override {
-    block_idx_ = 0;
-    if (!LoadBlock()) return;
+void SstIterator::SkipExhaustedBlocks() {
+  while (block_iter_ != nullptr && !block_iter_->Valid() &&
+         block_iter_->status().ok()) {
+    if (!LoadBlock(block_idx_ + 1)) return;
     block_iter_->SeekToFirst();
-    SkipExhaustedBlocks();
   }
-
-  void Seek(const Slice& target) override {
-    block_idx_ = table_->FindBlock(target);
-    if (!LoadBlock()) return;
-    block_iter_->Seek(target);
-    SkipExhaustedBlocks();
-  }
-
-  void Next() override {
-    assert(Valid());
-    block_iter_->Next();
-    SkipExhaustedBlocks();
-  }
-
-  Slice key() const override { return block_iter_->key(); }
-  Slice value() const override { return block_iter_->value(); }
-  Status status() const override {
-    if (!status_.ok()) return status_;
-    return block_iter_ != nullptr ? block_iter_->status() : Status::OK();
-  }
-
- private:
-  // Opens the block at block_idx_; false at end of table or on error.
-  bool LoadBlock() {
-    block_iter_.reset();
-    if (block_idx_ >= table_->index_.size()) return false;
-    std::shared_ptr<const std::string> contents;
-    status_ = table_->ReadBlock(block_idx_, &contents);
-    if (!status_.ok()) return false;
-    Block block{Slice(*contents)};
-    block_iter_ = block.NewIterator(std::move(contents));
-    return true;
-  }
-
-  // If the current block is exhausted, advance to the next non-empty one.
-  void SkipExhaustedBlocks() {
-    while (block_iter_ != nullptr && !block_iter_->Valid() &&
-           block_iter_->status().ok()) {
-      block_idx_++;
-      if (!LoadBlock()) return;
-      block_iter_->SeekToFirst();
-    }
-  }
-
-  const SstReader* table_;
-  size_t block_idx_ = 0;
-  std::unique_ptr<RecordIterator> block_iter_;
-  Status status_;
-};
-
-std::unique_ptr<RecordIterator> SstReader::NewIterator() const {
-  return std::make_unique<Iter>(this);
 }
 
 Status BuildSstFromIterator(const LsmOptions& options, const std::string& path,

@@ -26,12 +26,13 @@ Status Writer::AddRecord(const Slice& payload) {
   // ticket grab and the append landing.
   CHECK_YIELD("wal.append");
   DIFFINDEX_FAILPOINT("wal.append");
-  std::string header;
-  PutFixed32(&header,
+  // Header and payload leave in one write: a record costs one syscall.
+  record_.clear();
+  PutFixed32(&record_,
              crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&header, static_cast<uint32_t>(payload.size()));
-  DIFFINDEX_RETURN_NOT_OK(file_->Append(header));
-  DIFFINDEX_RETURN_NOT_OK(file_->Append(payload));
+  PutFixed32(&record_, static_cast<uint32_t>(payload.size()));
+  record_.append(payload.data(), payload.size());
+  DIFFINDEX_RETURN_NOT_OK(file_->Append(record_));
   bytes_written_ += kHeaderSize + payload.size();
   if (sync_mode_ == SyncMode::kEveryRecord) {
     DIFFINDEX_FAILPOINT("wal.sync");

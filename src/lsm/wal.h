@@ -47,6 +47,7 @@ class Writer {
   std::unique_ptr<WritableFile> file_;
   SyncMode sync_mode_;
   uint64_t bytes_written_ = 0;
+  std::string record_;  // header + payload of the record being appended
 };
 
 class Reader {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 namespace diffindex {
@@ -67,6 +68,19 @@ void Fabric::SetFaultSeed(uint64_t seed) {
   fault_rng_ = Random(seed);
 }
 
+void Fabric::SetObservers(obs::MetricsRegistry* metrics,
+                          obs::TraceCollector* traces) {
+  metrics_ = metrics;
+  traces_ = traces;
+  for (size_t slot = 0; slot < call_counters_.size(); slot++) {
+    const char* name = MsgTypeName(static_cast<MsgType>(slot));
+    call_counters_[slot] =
+        metrics == nullptr || strcmp(name, "unknown") == 0
+            ? nullptr
+            : metrics->GetCounter(std::string("rpc.") + name + ".calls");
+  }
+}
+
 Status Fabric::Call(NodeId from, NodeId to, MsgType type,
                     const std::string& body, std::string* response) {
   Handler handler;
@@ -125,10 +139,10 @@ Status Fabric::Call(NodeId from, NodeId to, MsgType type,
   }
 
   calls_made_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(std::string("rpc.") + MsgTypeName(type) + ".calls")
-        ->Add();
-  }
+  const size_t slot = static_cast<size_t>(type);
+  obs::Counter* calls =
+      slot < call_counters_.size() ? call_counters_[slot] : nullptr;
+  if (calls != nullptr) calls->Add();
 
   // Wire framing: [trace context][body]. The context is round-tripped
   // through real encode/decode (like every message body on this fabric)

@@ -7,6 +7,7 @@
 #ifndef DIFFINDEX_NET_FABRIC_H_
 #define DIFFINDEX_NET_FABRIC_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -88,11 +89,10 @@ class Fabric {
   // Attaches observability sinks (either may be null): per-RPC durations
   // land in `metrics` histogram `span.rpc.<type>` and counter
   // `rpc.<type>.calls`; traced calls also record spans into `traces`.
+  // Call before the first Call(): the per-type counters are interned
+  // here, so an RPC counts itself with one relaxed add.
   void SetObservers(obs::MetricsRegistry* metrics,
-                    obs::TraceCollector* traces) {
-    metrics_ = metrics;
-    traces_ = traces;
-  }
+                    obs::TraceCollector* traces);
 
   uint64_t calls_made() const {
     return calls_made_.load(std::memory_order_relaxed);
@@ -101,6 +101,10 @@ class Fabric {
  private:
   const LatencyModel* latency_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  // `rpc.<type>.calls`, indexed by MsgType value (null: no registry, or
+  // a retired value).
+  std::array<obs::Counter*, static_cast<size_t>(MsgType::kIndexScan) + 1>
+      call_counters_{};
   obs::TraceCollector* traces_ = nullptr;
   // mu_ guards the routing/fault tables; Call() copies the handler out
   // under mu_ and invokes it unlocked, so a handler may re-enter the

@@ -4,25 +4,18 @@ namespace diffindex {
 
 LruCache::LruCache(size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-void LruCache::Insert(const std::string& key,
-                      std::shared_ptr<const std::string> value,
-                      size_t charge) {
+void LruCache::Insert(const std::string& key, Handle value, size_t charge) {
   MutexLock lock(mu_);
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    usage_ -= it->second->charge;
-    lru_.erase(it->second);
-    table_.erase(it);
-  }
+  EraseLocked(key);
   lru_.push_front(Entry{key, std::move(value), charge});
-  table_[key] = lru_.begin();
+  table_.emplace(std::string_view(lru_.front().key), lru_.begin());
   usage_ += charge;
   EvictIfNeededLocked();
 }
 
-std::shared_ptr<const std::string> LruCache::Lookup(const std::string& key) {
+LruCache::Handle LruCache::Lookup(const std::string& key) {
   MutexLock lock(mu_);
-  auto it = table_.find(key);
+  auto it = table_.find(std::string_view(key));
   if (it == table_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -35,17 +28,13 @@ std::shared_ptr<const std::string> LruCache::Lookup(const std::string& key) {
 
 void LruCache::Erase(const std::string& key) {
   MutexLock lock(mu_);
-  auto it = table_.find(key);
-  if (it == table_.end()) return;
-  usage_ -= it->second->charge;
-  lru_.erase(it->second);
-  table_.erase(it);
+  EraseLocked(key);
 }
 
 void LruCache::Clear() {
   MutexLock lock(mu_);
-  lru_.clear();
   table_.clear();
+  lru_.clear();
   usage_ = 0;
 }
 
@@ -54,11 +43,20 @@ size_t LruCache::usage() const {
   return usage_;
 }
 
+void LruCache::EraseLocked(std::string_view key) {
+  auto it = table_.find(key);
+  if (it == table_.end()) return;
+  const LruList::iterator node = it->second;
+  usage_ -= node->charge;
+  table_.erase(it);
+  lru_.erase(node);
+}
+
 void LruCache::EvictIfNeededLocked() {
   while (usage_ > capacity_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     usage_ -= victim.charge;
-    table_.erase(victim.key);
+    table_.erase(std::string_view(victim.key));
     lru_.pop_back();
   }
 }

@@ -1,6 +1,12 @@
-// Sharded LRU cache, used as the SSTable block cache. Entries are
-// reference-counted so a block stays valid while a reader holds a handle
-// even if it is evicted concurrently.
+// LRU cache behind one mutex, used as the SSTable block cache and by the
+// base-row cache. Entries are reference-counted so a value stays valid
+// while a reader holds it even if it is evicted concurrently.
+//
+// Values are type-erased: each user knows what it stores under its keys
+// (the block cache verified block payloads, `const char[]` — often an
+// aliasing handle into a mapped file, so a fill allocates nothing; the
+// base-row cache encoded rows, `const std::string`) and casts back with
+// std::static_pointer_cast.
 
 #ifndef DIFFINDEX_UTIL_CACHE_H_
 #define DIFFINDEX_UTIL_CACHE_H_
@@ -10,6 +16,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/mutex.h"
@@ -19,15 +26,16 @@ namespace diffindex {
 
 class LruCache {
  public:
+  using Handle = std::shared_ptr<const void>;
+
   explicit LruCache(size_t capacity_bytes);
 
-  // Inserts (copying `value`'s ownership into the cache). charge is the
+  // Inserts (sharing `value`'s ownership with the cache). charge is the
   // approximate memory footprint. Replaces an existing entry for key.
-  void Insert(const std::string& key, std::shared_ptr<const std::string> value,
-              size_t charge);
+  void Insert(const std::string& key, Handle value, size_t charge);
 
   // Returns nullptr on miss.
-  std::shared_ptr<const std::string> Lookup(const std::string& key);
+  Handle Lookup(const std::string& key);
 
   void Erase(const std::string& key);
 
@@ -41,17 +49,20 @@ class LruCache {
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const std::string> value;
+    Handle value;
     size_t charge;
   };
   using LruList = std::list<Entry>;
 
+  void EraseLocked(std::string_view key) REQUIRES(mu_);
   void EvictIfNeededLocked() REQUIRES(mu_);
 
   const size_t capacity_;
   mutable Mutex mu_;
   LruList lru_ GUARDED_BY(mu_);  // front = most recent
-  std::unordered_map<std::string, LruList::iterator> table_ GUARDED_BY(mu_);
+  // Keys view the list node's own copy of the key: nodes never move.
+  std::unordered_map<std::string_view, LruList::iterator> table_
+      GUARDED_BY(mu_);
   size_t usage_ GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

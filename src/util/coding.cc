@@ -29,22 +29,6 @@ void PutFixed64(std::string* dst, uint64_t value) {
   dst->append(buf, sizeof(buf));
 }
 
-uint32_t DecodeFixed32(const char* ptr) {
-  const auto* p = reinterpret_cast<const unsigned char*>(ptr);
-  return (static_cast<uint32_t>(p[0])) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t DecodeFixed64(const char* ptr) {
-  const auto* p = reinterpret_cast<const unsigned char*>(ptr);
-  uint64_t result = 0;
-  for (int i = 7; i >= 0; i--) {
-    result = (result << 8) | p[i];
-  }
-  return result;
-}
-
 void PutVarint32(std::string* dst, uint32_t value) {
   unsigned char buf[5];
   int len = 0;
@@ -81,7 +65,8 @@ int VarintLength(uint64_t v) {
   return len;
 }
 
-const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value) {
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value) {
   uint32_t result = 0;
   for (uint32_t shift = 0; shift <= 28 && p < limit; shift += 7) {
     uint32_t byte = static_cast<unsigned char>(*p);

@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -64,13 +65,26 @@ class PosixWritableFile final : public WritableFile {
   int fd_;
 };
 
+// Maps the file read-only at open (the files read this way, SSTables, are
+// immutable), so Contents() serves reads with no syscall; Read stays a
+// pread. A file that cannot be mapped just has no Contents().
 class PosixRandomAccessFile final : public RandomAccessFile {
  public:
   PosixRandomAccessFile(std::string fname, int fd, uint64_t size)
-      : fname_(std::move(fname)), fd_(fd), size_(size) {}
+      : fname_(std::move(fname)), fd_(fd), size_(size) {
+    if (size_ > 0) {
+      void* map = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED, fd_, 0);
+      if (map != MAP_FAILED) map_ = static_cast<const char*>(map);
+    }
+  }
 
   ~PosixRandomAccessFile() override {
+    if (map_ != nullptr) ::munmap(const_cast<char*>(map_), size_);
     if (fd_ >= 0) ::close(fd_);
+  }
+
+  Slice Contents() const override {
+    return map_ != nullptr ? Slice(map_, size_) : Slice();
   }
 
   Status Read(uint64_t offset, size_t n, Slice* result,
@@ -87,6 +101,7 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   std::string fname_;
   int fd_;
   uint64_t size_;
+  const char* map_ = nullptr;
 };
 
 class PosixSequentialFile final : public SequentialFile {

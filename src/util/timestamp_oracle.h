@@ -30,7 +30,9 @@ class TimestampOracle {
   TimestampOracle() : last_(0) {}
 
   // Returns a timestamp that is >= wall-clock microseconds and strictly
-  // greater than any previously returned timestamp from this oracle.
+  // greater than any previously returned timestamp from this oracle. In a
+  // DIFFINDEX_CHECK build under an active model-checker scheduler the
+  // clock is logical instead: a fixed epoch, then +1 per call.
   Timestamp Next();
 
   // Wall-clock microseconds since epoch (not monotonic across oracles).

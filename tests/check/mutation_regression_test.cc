@@ -166,6 +166,31 @@ TEST(MutationRegressionTest, UnmutatedModelExploresClean) {
   EXPECT_GT(result.schedules_run, 0);
 }
 
+// A run is fully determined by its decision sequence, so repeating one
+// exploration must repeat it exactly: the same schedule count, the same
+// violating schedule, the same violation text. Sleep sets carry options
+// from one run into the next, so resources are numbered per run rather
+// than named by address (every run's cluster lands elsewhere on the
+// heap), and timestamps are logical rather than wall-clock.
+TEST(MutationRegressionTest, RepeatedExplorationRunsTheSameSchedules) {
+  ScopedMutation arm(test_hooks::buggy_min_anchor_coalescing);
+
+  ExploreOptions explore;
+  explore.max_schedules = 6000;
+  explore.preemption_bound = 3;
+  explore.stop_on_violation = true;
+  const ExploreResult first =
+      Explore(explore, ModelRunner(CoalescingModel()));
+  const ExploreResult second =
+      Explore(explore, ModelRunner(CoalescingModel()));
+
+  ASSERT_GT(first.violations, 0);
+  EXPECT_EQ(first.schedules_run, second.schedules_run);
+  EXPECT_EQ(first.violating_choices, second.violating_choices);
+  EXPECT_EQ(first.first_violation, second.first_violation);
+  EXPECT_EQ(first.fingerprints, second.fingerprints);
+}
+
 #else  // !DIFFINDEX_CHECK
 
 TEST(MutationRegressionTest, RequiresCheckBuild) {

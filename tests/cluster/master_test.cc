@@ -116,8 +116,8 @@ TEST_F(MasterTest, CatalogPushedToServers) {
   index.column = "c";
   ASSERT_TRUE(cluster_->master()->CreateIndex("t", index).ok());
   for (NodeId id : cluster_->server_ids()) {
-    CatalogSnapshot snapshot = cluster_->server(id)->catalog();
-    const TableDescriptor* table = snapshot.GetTable("t");
+    const auto snapshot = cluster_->server(id)->catalog();
+    const TableDescriptor* table = snapshot->GetTable("t");
     ASSERT_NE(table, nullptr);
     EXPECT_EQ(table->indexes.size(), 1u);
   }

@@ -269,6 +269,177 @@ TEST_F(SstableTest, CorruptLaterBlockFailsPointReads) {
   EXPECT_EQ(value, "new-value-0");
 }
 
+// Row reads over two stores that share a key range: even rows in the
+// older store, odd rows in the newer one. One data block of the even store
+// is corrupt.
+class SstableRowReadTest : public SstableTest {
+ protected:
+  void SetUp() override {
+    SstableTest::SetUp();
+    tree_dir_ = dir_ + "/tree";
+    std::unique_ptr<LsmTree> tree;
+    ASSERT_TRUE(LsmTree::Open(options_, tree_dir_, &tree).ok());
+    for (int parity : {0, 1}) {
+      for (int i = parity; i < 400; i += 2) {
+        ASSERT_TRUE(tree->Put(CellOf(i),
+                              (parity == 0 ? "even-value-" : "odd-value-") +
+                                  std::to_string(i),
+                              1 + parity)
+                        .ok());
+      }
+      ASSERT_TRUE(tree->Flush().ok());
+    }
+    tree.reset();
+    // Past block 0, which Open reads, so only row reads meet the damage.
+    even_sst_ = CorruptFileContaining(tree_dir_, "even-value-250");
+    ASSERT_FALSE(even_sst_.empty());
+    options_.block_cache = std::make_shared<LruCache>(1 << 20);  // cold
+    ASSERT_TRUE(LsmTree::Open(options_, tree_dir_, &tree_).ok());
+  }
+
+  static std::string Row(int i) {
+    char row[16];
+    snprintf(row, sizeof(row), "row%04d", i);
+    return row;
+  }
+  static std::string CellOf(int i) { return Row(i) + kRowSeparator + "c"; }
+
+  // ScanRows of `rows`; fills the values read, one string per row.
+  Status ReadRows(const std::vector<std::string>& rows,
+                  std::vector<std::string>* values) {
+    std::vector<Slice> slices(rows.begin(), rows.end());
+    values->assign(rows.size(), "");
+    return tree_->ScanRows(slices, kMaxTimestamp,
+                           [values](size_t i, const Slice&,
+                                    const Slice& value, Timestamp) {
+                             (*values)[i] += value.ToString();
+                           });
+  }
+
+  std::string tree_dir_;
+  std::string even_sst_;
+  std::unique_ptr<LsmTree> tree_;
+};
+
+TEST_F(SstableRowReadTest, CorruptBlockOfAStoreTheFilterSkipsIsNeverRead) {
+  // row0249 seeks to row0250 in the even store, right into the corrupt
+  // block; the even store's row filter keeps the read out of it.
+  std::shared_ptr<SstReader> even;
+  ASSERT_TRUE(SstReader::Open(options_, even_sst_, 0, &even).ok());
+  ASSERT_FALSE(even->RowMayMatch(Row(249)));
+  ASSERT_TRUE(even->RowMayMatch(Row(250)));
+
+  std::vector<std::string> values;
+  ASSERT_TRUE(ReadRows({Row(249), Row(251)}, &values).ok());
+  EXPECT_EQ(values, (std::vector<std::string>{"odd-value-249",
+                                               "odd-value-251"}));
+  std::string value;
+  ASSERT_TRUE(tree_->Get(CellOf(249), kMaxTimestamp, &value).ok());
+  EXPECT_EQ(value, "odd-value-249");
+}
+
+TEST_F(SstableRowReadTest, CorruptBlockOfAStoreItReadsIsCorruption) {
+  std::vector<std::string> values;
+  Status s = ReadRows({Row(250)}, &values);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // One bad row fails the batch it is in.
+  s = ReadRows({Row(249), Row(250), Row(251)}, &values);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  std::string value;
+  s = tree_->Get(CellOf(250), kMaxTimestamp, &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  const std::vector<std::string> keys = {CellOf(0), CellOf(250), CellOf(251)};
+  std::vector<Slice> slices(keys.begin(), keys.end());
+  std::vector<LsmTree::GetResult> results;
+  tree_->MultiGet(slices, kMaxTimestamp, &results);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_EQ(results[0].value, "even-value-0");
+  EXPECT_TRUE(results[1].status.IsCorruption())
+      << results[1].status.ToString();
+  EXPECT_TRUE(results[2].status.ok()) << results[2].status.ToString();
+}
+
+// tests/lsm/testdata/cell_filter_v1.sst was written by the SstBuilder that
+// predates the row-keyed filter (footer magic ...c4f3, bloom filter over
+// whole user keys), block_size 256, from this memtable: for r in [0, 30),
+// row "rowNN" gets cell a = "a-r-1" and cell b = "b-r" at ts 10, a newer
+// a = "a-r-2" at ts 20 when r % 3 == 0, and a tombstone on b at ts 30
+// when r % 5 == 0.
+TEST_F(SstableTest, CellFilterFormatStillReads) {
+  const std::string tree_dir = dir_ + "/old_format";
+  ASSERT_TRUE(Env::Default()->CreateDirIfMissing(tree_dir).ok());
+  std::filesystem::copy_file(
+      std::string(DIFFINDEX_TESTDATA_DIR) + "/cell_filter_v1.sst",
+      tree_dir + "/00000001.sst");
+  {
+    std::ofstream manifest(tree_dir + "/TABLES");
+    manifest << "flushed_ts 30\nnext_file 2\nfile 1\n";
+  }
+  std::unique_ptr<LsmTree> tree;
+  ASSERT_TRUE(LsmTree::Open(options_, tree_dir, &tree).ok());
+  ASSERT_EQ(tree->NumDiskStores(), 1);
+
+  auto row = [](int r) {
+    char buf[8];
+    snprintf(buf, sizeof(buf), "row%02d", r);
+    return std::string(buf);
+  };
+  std::vector<std::string> rows;
+  for (int r = 0; r < 30; r++) {
+    const std::string a = row(r) + kRowSeparator + "a";
+    const std::string b = row(r) + kRowSeparator + "b";
+    const std::string a_newest =
+        "a-" + std::to_string(r) + (r % 3 == 0 ? "-2" : "-1");
+    std::string value;
+    Timestamp ts = 0;
+    ASSERT_TRUE(tree->Get(a, kMaxTimestamp, &value, &ts).ok()) << a;
+    EXPECT_EQ(value, a_newest);
+    EXPECT_EQ(ts, r % 3 == 0 ? 20u : 10u);
+    ASSERT_TRUE(tree->Get(a, 15, &value).ok());
+    EXPECT_EQ(value, "a-" + std::to_string(r) + "-1");
+    const Status b_status = tree->Get(b, kMaxTimestamp, &value);
+    if (r % 5 == 0) {
+      EXPECT_TRUE(b_status.IsNotFound()) << b;
+    } else {
+      ASSERT_TRUE(b_status.ok()) << b;
+      EXPECT_EQ(value, "b-" + std::to_string(r));
+    }
+    ASSERT_TRUE(tree->Get(b, 25, &value).ok());
+    EXPECT_EQ(value, "b-" + std::to_string(r));
+    rows.push_back(row(r));
+  }
+  rows.push_back("row05x");  // absent, inside the key range
+  rows.push_back("row99");   // absent, past it
+
+  std::vector<Slice> slices(rows.begin(), rows.end());
+  std::vector<std::string> read(rows.size());
+  ASSERT_TRUE(tree->ScanRows(slices, kMaxTimestamp,
+                             [&read](size_t i, const Slice& key,
+                                     const Slice& value, Timestamp) {
+                               read[i] += RowOf(key).ToString() + "=" +
+                                          value.ToString() + ";";
+                             })
+                  .ok());
+  for (int r = 0; r < 30; r++) {
+    std::string expected = row(r) + "=a-" + std::to_string(r) +
+                           (r % 3 == 0 ? "-2" : "-1") + ";";
+    if (r % 5 != 0) expected += row(r) + "=b-" + std::to_string(r) + ";";
+    EXPECT_EQ(read[r], expected);
+  }
+  EXPECT_EQ(read[30], "");
+  EXPECT_EQ(read[31], "");
+
+  // The old filter names cells, not rows: a row read may not trust it.
+  std::shared_ptr<SstReader> reader;
+  ASSERT_TRUE(
+      SstReader::Open(options_, tree_dir + "/00000001.sst", 1, &reader).ok());
+  EXPECT_TRUE(reader->RowMayMatch("row05x"));
+  EXPECT_FALSE(reader->RowMayMatch("row99"));  // out of range
+  EXPECT_TRUE(reader->KeyMayMatch(row(7) + kRowSeparator + "a"));
+}
+
 TEST_F(SstableTest, TruncatedFileFailsOpen) {
   MemTable mem;
   mem.Add("k", 1, ValueType::kPut, "v");

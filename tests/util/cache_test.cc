@@ -18,12 +18,17 @@ std::shared_ptr<const std::string> Val(const std::string& s) {
   return std::make_shared<const std::string>(s);
 }
 
+// The string a handle holds (values here are all strings).
+const std::string& Str(const LruCache::Handle& handle) {
+  return *std::static_pointer_cast<const std::string>(handle);
+}
+
 TEST(LruCacheTest, InsertLookupErase) {
   LruCache cache(1024);
   cache.Insert("a", Val("alpha"), 10);
   auto got = cache.Lookup("a");
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(*got, "alpha");
+  EXPECT_EQ(Str(got), "alpha");
   EXPECT_EQ(cache.usage(), 10u);
 
   cache.Erase("a");
@@ -37,7 +42,7 @@ TEST(LruCacheTest, ReplaceUpdatesValueAndCharge) {
   cache.Insert("k", Val("v2"), 40);
   auto got = cache.Lookup("k");
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(*got, "v2");
+  EXPECT_EQ(Str(got), "v2");
   EXPECT_EQ(cache.usage(), 40u);
 }
 
@@ -63,7 +68,7 @@ TEST(LruCacheTest, EvictedValueStaysAliveWhileHeld) {
   ASSERT_NE(held, nullptr);
   cache.Insert("b", Val("usurper"), 10);  // evicts "a"
   EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(*held, "pinned");  // the handle keeps the value valid
+  EXPECT_EQ(Str(held), "pinned");  // the handle keeps the value valid
 }
 
 TEST(LruCacheTest, ClearDropsEverything) {
@@ -114,7 +119,7 @@ TEST(LruCacheTest, ConcurrentMixedAccess) {
           case 2:
           case 3: {
             auto got = cache.Lookup(key);
-            if (got != nullptr && *got != "value-of-" + key) {
+            if (got != nullptr && Str(got) != "value-of-" + key) {
               corrupt.store(true);
             }
             break;

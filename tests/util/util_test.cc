@@ -191,7 +191,7 @@ TEST(BloomTest, EmptyFilterMatchesNothing) {
 TEST(LruCacheTest, InsertLookup) {
   LruCache cache(1024);
   cache.Insert("a", std::make_shared<std::string>("va"), 2);
-  auto v = cache.Lookup("a");
+  auto v = std::static_pointer_cast<const std::string>(cache.Lookup("a"));
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, "va");
   EXPECT_EQ(cache.Lookup("b"), nullptr);
@@ -217,7 +217,8 @@ TEST(LruCacheTest, ReplaceUpdatesCharge) {
   EXPECT_EQ(cache.usage(), 60u);
   cache.Insert("a", std::make_shared<std::string>("new"), 10);
   EXPECT_EQ(cache.usage(), 10u);
-  EXPECT_EQ(*cache.Lookup("a"), "new");
+  EXPECT_EQ(*std::static_pointer_cast<const std::string>(cache.Lookup("a")),
+            "new");
 }
 
 TEST(LruCacheTest, EraseRemoves) {
