@@ -77,8 +77,7 @@ void BaseRowCache::NoteWrite(
   const std::string key = MakeKey(table, row, cell.column);
 
   Entry entry;
-  auto cached =
-      std::static_pointer_cast<const std::string>(cache_.Lookup(key));
+  auto cached = cache_.Lookup(key);
   if (cached == nullptr || !Decode(*cached, &entry)) {
     // First sight of the cell. A tombstone is never cached here: the
     // verify read returns NotFound for ANY newest tombstone, so it cannot
@@ -144,8 +143,7 @@ BaseRowCache::Result BaseRowCache::Lookup(const std::string& table,
                                           std::string* value,
                                           Timestamp* version_ts) {
   CHECK_YIELD("cache.lookup");
-  auto cached = std::static_pointer_cast<const std::string>(
-      cache_.Lookup(MakeKey(table, row, column)));
+  auto cached = cache_.Lookup(MakeKey(table, row, column));
   Entry entry;
   if (cached == nullptr || !Decode(*cached, &entry)) {
     if (miss_counter_ != nullptr) miss_counter_->Add();

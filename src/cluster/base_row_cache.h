@@ -95,7 +95,7 @@ class BaseRowCache {
   static bool Decode(const std::string& encoded, Entry* entry);
   void Store(const std::string& key, const Entry& entry);
 
-  LruCache cache_;
+  LruCache<const std::string> cache_;
   obs::Counter* hit_counter_ = nullptr;
   obs::Counter* miss_counter_ = nullptr;
 };

@@ -114,7 +114,7 @@ RegionServer::RegionServer(NodeId id, std::string data_root, Fabric* fabric,
       lsm_options_(options.lsm) {
   if (lsm_options_.block_cache == nullptr && options_.block_cache_bytes > 0) {
     lsm_options_.block_cache =
-        std::make_shared<LruCache>(options_.block_cache_bytes);
+        std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
   if (options_.metrics != nullptr) {
     rs_put_counter_ = options_.metrics->GetCounter("rs.put");

@@ -25,7 +25,7 @@ struct LsmOptions {
 
   // Shared across trees of one server so the cache size models the HBase
   // block cache (25% of heap in the paper's setup). May be nullptr.
-  std::shared_ptr<LruCache> block_cache;
+  std::shared_ptr<BlockCache> block_cache;
 
   // Flush the memtable once it holds this many bytes of key+value data.
   size_t memtable_flush_bytes = 4 << 20;

@@ -290,41 +290,24 @@ Status SstReader::ReadBlock(size_t block_idx,
     // key allocates nothing.
     PutVarint64(&cache_key, cache_id_);
     PutVarint64(&cache_key, entry.offset);
-    LruCache::Handle cached = options_.block_cache->Lookup(cache_key);
+    BlockCache::Handle cached = options_.block_cache->Lookup(cache_key);
     if (cached != nullptr) {
-      *block = std::static_pointer_cast<const char[]>(std::move(cached));
+      *block = std::move(cached);
       return Status::OK();
     }
   }
 
-  // Cache miss: one random I/O into the disk store.
+  // Cache miss: one random I/O into the disk store, read straight into the
+  // buffer the cache keeps (one allocation, no zero-fill).
   if (options_.latency != nullptr) options_.latency->DiskRead();
   const size_t n = entry.size + kBlockTrailerSize;
-  std::shared_ptr<const char[]> read;
-  const Slice contents = file_->Contents();
-  if (!contents.empty()) {
-    // The file is mapped: verify the block where it lies and hand out a
-    // handle that shares the file's ownership (no syscall, no allocation,
-    // no copy).
-    if (entry.offset > contents.size() || n > contents.size() - entry.offset) {
-      return Status::Corruption("short block read: " + path_);
-    }
-    const Slice raw(contents.data() + entry.offset, n);
-    DIFFINDEX_RETURN_NOT_OK(VerifyTrailer(raw));
-    read = std::shared_ptr<const char[]>(file_, raw.data());
-  } else {
-    // Read into the buffer the cache keeps: one allocation, no zero-fill.
-    std::shared_ptr<char[]> owned =
-        std::make_shared_for_overwrite<char[]>(n);
-    Slice result;
-    DIFFINDEX_RETURN_NOT_OK(
-        file_->Read(entry.offset, n, &result, owned.get()));
-    if (result.size() != n) {
-      return Status::Corruption("short block read: " + path_);
-    }
-    DIFFINDEX_RETURN_NOT_OK(VerifyTrailer(result));
-    read = std::move(owned);
+  std::shared_ptr<char[]> read = std::make_shared_for_overwrite<char[]>(n);
+  Slice result;
+  DIFFINDEX_RETURN_NOT_OK(file_->Read(entry.offset, n, &result, read.get()));
+  if (result.size() != n) {
+    return Status::Corruption("short block read: " + path_);
   }
+  DIFFINDEX_RETURN_NOT_OK(VerifyTrailer(result));
   if (options_.block_cache != nullptr) {
     options_.block_cache->Insert(cache_key, read, entry.size);
   }
@@ -392,6 +375,7 @@ bool SstIterator::LoadBlock(size_t idx) {
   if (block_iter_ != nullptr && idx == block_idx_) return true;
   block_iter_.reset();
   block_idx_ = idx;
+  status_ = Status::OK();  // a fresh load forgets an earlier block's error
   if (idx >= table_->index_.size()) return false;
   blocks_read_++;
   std::shared_ptr<const char[]> contents;

@@ -125,9 +125,7 @@ class SstReader {
 
   const LsmOptions options_;
   const std::string path_;
-  // Shared so that a cached block taken straight from the file's mapped
-  // contents keeps the mapping alive after the reader is gone.
-  std::shared_ptr<RandomAccessFile> file_;
+  std::unique_ptr<RandomAccessFile> file_;
   // Names this reader's blocks in the shared cache: unique per process,
   // so a short key needs no path and a reopened file never sees another
   // reader's blocks.

@@ -7,6 +7,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -65,43 +66,36 @@ class PosixWritableFile final : public WritableFile {
   int fd_;
 };
 
-// Maps the file read-only at open (the files read this way, SSTables, are
-// immutable), so Contents() serves reads with no syscall; Read stays a
-// pread. A file that cannot be mapped just has no Contents().
+// The file is mapped read-only at open and its descriptor closed, so a
+// Read is a copy out of the page cache with no system call. The mapping
+// goes away with this object.
 class PosixRandomAccessFile final : public RandomAccessFile {
  public:
-  PosixRandomAccessFile(std::string fname, int fd, uint64_t size)
-      : fname_(std::move(fname)), fd_(fd), size_(size) {
-    if (size_ > 0) {
-      void* map = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED, fd_, 0);
-      if (map != MAP_FAILED) map_ = static_cast<const char*>(map);
-    }
-  }
+  // `map` holds `size` bytes (nullptr for an empty file).
+  PosixRandomAccessFile(const char* map, uint64_t size)
+      : map_(map), size_(size) {}
 
   ~PosixRandomAccessFile() override {
     if (map_ != nullptr) ::munmap(const_cast<char*>(map_), size_);
-    if (fd_ >= 0) ::close(fd_);
   }
-
-  Slice Contents() const override {
-    return map_ != nullptr ? Slice(map_, size_) : Slice();
-  }
+  PosixRandomAccessFile(const PosixRandomAccessFile&) = delete;
+  PosixRandomAccessFile& operator=(const PosixRandomAccessFile&) = delete;
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    ssize_t r = ::pread(fd_, scratch, n, static_cast<off_t>(offset));
-    if (r < 0) return PosixError(fname_, errno);
-    *result = Slice(scratch, static_cast<size_t>(r));
+    const size_t available =
+        offset < size_ ? static_cast<size_t>(size_ - offset) : 0;
+    n = std::min(n, available);
+    if (n > 0) std::memcpy(scratch, map_ + offset, n);
+    *result = Slice(scratch, n);
     return Status::OK();
   }
 
   uint64_t Size() const override { return size_; }
 
  private:
-  std::string fname_;
-  int fd_;
-  uint64_t size_;
-  const char* map_ = nullptr;
+  const char* const map_;
+  const uint64_t size_;
 };
 
 class PosixSequentialFile final : public SequentialFile {
@@ -158,8 +152,19 @@ class PosixEnv final : public Env {
       ::close(fd);
       return PosixError(fname, err);
     }
+    const auto size = static_cast<uint64_t>(st.st_size);
+    void* map = nullptr;
+    if (size > 0) {
+      map = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+      if (map == MAP_FAILED) {
+        int err = errno;
+        ::close(fd);
+        return PosixError(fname, err);
+      }
+    }
+    ::close(fd);
     *result = std::make_unique<PosixRandomAccessFile>(
-        fname, fd, static_cast<uint64_t>(st.st_size));
+        static_cast<const char*>(map), size);
     return Status::OK();
   }
 

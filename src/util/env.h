@@ -26,6 +26,9 @@ class WritableFile {
   virtual Status Close() = 0;
 };
 
+// A file opened for random reads must not shrink while it is open (the
+// files read this way, SSTables, are immutable): the default Env maps it,
+// and touching a mapped page past a new end of file faults.
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
@@ -33,12 +36,6 @@ class RandomAccessFile {
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
   virtual uint64_t Size() const = 0;
-  // The whole file as it was at open, if the implementation has it in
-  // memory (mapped); empty otherwise. Valid while this object lives. A
-  // reader of an immutable file may take bytes from it directly instead
-  // of paying Read's syscall and copy. A decorator that has to see every
-  // read (fault injection) keeps the default.
-  virtual Slice Contents() const { return Slice(); }
 };
 
 class SequentialFile {

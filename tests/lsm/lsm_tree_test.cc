@@ -24,7 +24,7 @@ class LsmTreeTest : public ::testing::Test {
     (void)Env::Default()->RemoveDirRecursively(dir_);
     options_.memtable_flush_bytes = 16 << 10;
     options_.block_size = 512;
-    options_.block_cache = std::make_shared<LruCache>(1 << 20);
+    options_.block_cache = std::make_shared<BlockCache>(1 << 20);
     options_.compaction_trigger = 4;
     Reopen();
   }

@@ -36,7 +36,7 @@ class LsmTreeRowReadTest : public ::testing::Test {
     (void)Env::Default()->RemoveDirRecursively(dir_);
     options_.memtable_flush_bytes = 1 << 30;  // flushes are explicit
     options_.block_size = 256;
-    options_.block_cache = std::make_shared<LruCache>(1 << 20);
+    options_.block_cache = std::make_shared<BlockCache>(1 << 20);
     options_.compaction_trigger = 100;
     options_.metrics = &metrics_;
     ASSERT_TRUE(LsmTree::Open(options_, dir_, &tree_).ok());

@@ -22,7 +22,7 @@ class SstableTest : public ::testing::Test {
            std::to_string(reinterpret_cast<uintptr_t>(this));
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
     options_.block_size = 256;  // small blocks: exercise multi-block paths
-    options_.block_cache = std::make_shared<LruCache>(1 << 20);
+    options_.block_cache = std::make_shared<BlockCache>(1 << 20);
   }
 
   void TearDown() override {
@@ -172,6 +172,63 @@ TEST_F(SstableTest, BlockCacheAvoidsRereads) {
   EXPECT_LE(misses_after - misses_before, 1u);
 }
 
+// How many of this process's memory mappings and file descriptors name
+// `path` (a deleted file still shows up, with " (deleted)" appended).
+int TimesHeld(const std::string& path) {
+  int n = 0;
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(path) != std::string::npos) n++;
+  }
+  for (const auto& fd : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = std::filesystem::read_symlink(fd, ec).string();
+    if (!ec && target.find(path) != std::string::npos) n++;
+  }
+  return n;
+}
+
+TEST_F(SstableTest, CompactedAwayTableIsReleasedWhileItsBlocksStayCached) {
+  const std::string tree_dir = dir_ + "/tree";
+  std::unique_ptr<LsmTree> tree;
+  ASSERT_TRUE(LsmTree::Open(options_, tree_dir, &tree).ok());
+  for (Timestamp ts : {1, 2}) {
+    for (int i = 0; i < 200; i++) {
+      ASSERT_TRUE(tree->Put("k" + std::to_string(1000 + i),
+                            "v" + std::to_string(ts), ts)
+                      .ok());
+    }
+    ASSERT_TRUE(tree->Flush().ok());
+  }
+  ASSERT_EQ(tree->NumDiskStores(), 2);
+  std::vector<std::string> old_tables;
+  for (const auto& entry : std::filesystem::directory_iterator(tree_dir)) {
+    if (entry.path().extension() == ".sst") {
+      old_tables.push_back(entry.path().string());
+    }
+  }
+  ASSERT_EQ(old_tables.size(), 2u);
+  std::string value;
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(tree->Get("k" + std::to_string(1000 + i), 1, &value).ok());
+  }
+  for (const auto& table : old_tables) EXPECT_GE(TimesHeld(table), 1);
+
+  ASSERT_TRUE(tree->CompactAll().ok());
+  ASSERT_EQ(tree->NumDiskStores(), 1);
+  // The old tables' blocks are still cached (the cache is far from full,
+  // so nothing evicted them), yet nothing holds their files any more.
+  const size_t usage = options_.block_cache->usage();
+  EXPECT_GT(usage, 0u);
+  EXPECT_LT(usage, size_t{1} << 20);
+  for (const auto& table : old_tables) {
+    EXPECT_FALSE(std::filesystem::exists(table)) << table;
+    EXPECT_EQ(TimesHeld(table), 0) << table;
+  }
+  ASSERT_TRUE(tree->Get("k1000", kMaxTimestamp, &value).ok());
+  EXPECT_EQ(value, "v2");
+}
+
 TEST_F(SstableTest, CorruptBlockDetected) {
   MemTable mem;
   for (int i = 0; i < 200; i++) {
@@ -251,7 +308,7 @@ TEST_F(SstableTest, CorruptLaterBlockFailsPointReads) {
   const std::string sst = CorruptFileContaining(tree_dir, "new-value-150");
   ASSERT_FALSE(sst.empty());
 
-  options.block_cache = std::make_shared<LruCache>(1 << 20);  // cold
+  options.block_cache = std::make_shared<BlockCache>(1 << 20);  // cold
   std::shared_ptr<SstReader> reader;
   ASSERT_TRUE(SstReader::Open(options, sst, 0, &reader).ok());
   LookupResult r = reader->Get("k1150", kMaxTimestamp);
@@ -293,7 +350,7 @@ class SstableRowReadTest : public SstableTest {
     // Past block 0, which Open reads, so only row reads meet the damage.
     even_sst_ = CorruptFileContaining(tree_dir_, "even-value-250");
     ASSERT_FALSE(even_sst_.empty());
-    options_.block_cache = std::make_shared<LruCache>(1 << 20);  // cold
+    options_.block_cache = std::make_shared<BlockCache>(1 << 20);  // cold
     ASSERT_TRUE(LsmTree::Open(options_, tree_dir_, &tree_).ok());
   }
 
@@ -359,6 +416,18 @@ TEST_F(SstableRowReadTest, CorruptBlockOfAStoreItReadsIsCorruption) {
   EXPECT_TRUE(results[1].status.IsCorruption())
       << results[1].status.ToString();
   EXPECT_TRUE(results[2].status.ok()) << results[2].status.ToString();
+
+  // A read older than every version of the even store's largest key seeks
+  // past its last block; the error of the block read before it, in the
+  // same batch, is not that key's. (At read_ts 0 row 248 seeks past its
+  // own version, so into the block that holds row 250.)
+  const std::vector<std::string> old_keys = {CellOf(248), CellOf(398)};
+  std::vector<Slice> old_slices(old_keys.begin(), old_keys.end());
+  tree_->MultiGet(old_slices, /*read_ts=*/0, &results);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].status.IsCorruption())
+      << results[0].status.ToString();
+  EXPECT_TRUE(results[1].status.IsNotFound()) << results[1].status.ToString();
 }
 
 // tests/lsm/testdata/cell_filter_v1.sst was written by the SstBuilder that

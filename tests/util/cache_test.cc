@@ -18,17 +18,12 @@ std::shared_ptr<const std::string> Val(const std::string& s) {
   return std::make_shared<const std::string>(s);
 }
 
-// The string a handle holds (values here are all strings).
-const std::string& Str(const LruCache::Handle& handle) {
-  return *std::static_pointer_cast<const std::string>(handle);
-}
-
 TEST(LruCacheTest, InsertLookupErase) {
-  LruCache cache(1024);
+  LruCache<const std::string> cache(1024);
   cache.Insert("a", Val("alpha"), 10);
   auto got = cache.Lookup("a");
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(Str(got), "alpha");
+  EXPECT_EQ(*got, "alpha");
   EXPECT_EQ(cache.usage(), 10u);
 
   cache.Erase("a");
@@ -37,17 +32,17 @@ TEST(LruCacheTest, InsertLookupErase) {
 }
 
 TEST(LruCacheTest, ReplaceUpdatesValueAndCharge) {
-  LruCache cache(1024);
+  LruCache<const std::string> cache(1024);
   cache.Insert("k", Val("v1"), 100);
   cache.Insert("k", Val("v2"), 40);
   auto got = cache.Lookup("k");
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(Str(got), "v2");
+  EXPECT_EQ(*got, "v2");
   EXPECT_EQ(cache.usage(), 40u);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsedFirst) {
-  LruCache cache(30);
+  LruCache<const std::string> cache(30);
   cache.Insert("a", Val("1"), 10);
   cache.Insert("b", Val("2"), 10);
   cache.Insert("c", Val("3"), 10);
@@ -62,17 +57,17 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsedFirst) {
 }
 
 TEST(LruCacheTest, EvictedValueStaysAliveWhileHeld) {
-  LruCache cache(10);
+  LruCache<const std::string> cache(10);
   cache.Insert("a", Val("pinned"), 10);
   auto held = cache.Lookup("a");
   ASSERT_NE(held, nullptr);
   cache.Insert("b", Val("usurper"), 10);  // evicts "a"
   EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(Str(held), "pinned");  // the handle keeps the value valid
+  EXPECT_EQ(*held, "pinned");  // the handle keeps the value valid
 }
 
 TEST(LruCacheTest, ClearDropsEverything) {
-  LruCache cache(1024);
+  LruCache<const std::string> cache(1024);
   for (int i = 0; i < 16; i++) {
     cache.Insert("k" + std::to_string(i), Val("v"), 8);
   }
@@ -88,7 +83,7 @@ TEST(LruCacheTest, ClearDropsEverything) {
 }
 
 TEST(LruCacheTest, HitMissCounters) {
-  LruCache cache(1024);
+  LruCache<const std::string> cache(1024);
   cache.Insert("a", Val("1"), 8);
   (void)cache.Lookup("a");
   (void)cache.Lookup("a");
@@ -101,7 +96,7 @@ TEST(LruCacheTest, ConcurrentMixedAccess) {
   // Writers, readers and clearers race over a small capacity (constant
   // eviction). Correctness here is "no crash, no corrupted value, usage
   // within bounds" — TSan gives the memory-model verdict.
-  LruCache cache(64 * 40);
+  LruCache<const std::string> cache(64 * 40);
   constexpr int kThreads = 6;
   constexpr int kOpsPerThread = 3000;
   std::atomic<bool> corrupt{false};
@@ -119,7 +114,7 @@ TEST(LruCacheTest, ConcurrentMixedAccess) {
           case 2:
           case 3: {
             auto got = cache.Lookup(key);
-            if (got != nullptr && Str(got) != "value-of-" + key) {
+            if (got != nullptr && *got != "value-of-" + key) {
               corrupt.store(true);
             }
             break;

@@ -189,9 +189,9 @@ TEST(BloomTest, EmptyFilterMatchesNothing) {
 // ---- LRU cache ----
 
 TEST(LruCacheTest, InsertLookup) {
-  LruCache cache(1024);
+  LruCache<const std::string> cache(1024);
   cache.Insert("a", std::make_shared<std::string>("va"), 2);
-  auto v = std::static_pointer_cast<const std::string>(cache.Lookup("a"));
+  auto v = cache.Lookup("a");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, "va");
   EXPECT_EQ(cache.Lookup("b"), nullptr);
@@ -200,7 +200,7 @@ TEST(LruCacheTest, InsertLookup) {
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache cache(10);
+  LruCache<const std::string> cache(10);
   cache.Insert("a", std::make_shared<std::string>("1"), 4);
   cache.Insert("b", std::make_shared<std::string>("2"), 4);
   // Touch "a" so "b" is the LRU victim.
@@ -212,17 +212,16 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCacheTest, ReplaceUpdatesCharge) {
-  LruCache cache(100);
+  LruCache<const std::string> cache(100);
   cache.Insert("a", std::make_shared<std::string>("old"), 60);
   EXPECT_EQ(cache.usage(), 60u);
   cache.Insert("a", std::make_shared<std::string>("new"), 10);
   EXPECT_EQ(cache.usage(), 10u);
-  EXPECT_EQ(*std::static_pointer_cast<const std::string>(cache.Lookup("a")),
-            "new");
+  EXPECT_EQ(*cache.Lookup("a"), "new");
 }
 
 TEST(LruCacheTest, EraseRemoves) {
-  LruCache cache(100);
+  LruCache<const std::string> cache(100);
   cache.Insert("a", std::make_shared<std::string>("v"), 5);
   cache.Erase("a");
   EXPECT_EQ(cache.Lookup("a"), nullptr);
@@ -230,7 +229,7 @@ TEST(LruCacheTest, EraseRemoves) {
 }
 
 TEST(LruCacheTest, ValueSurvivesEviction) {
-  LruCache cache(4);
+  LruCache<const std::string> cache(4);
   auto held = std::make_shared<std::string>("pinned");
   cache.Insert("a", held, 4);
   cache.Insert("b", std::make_shared<std::string>("evictor"), 4);

@@ -26,7 +26,7 @@ from dataflow import Event, HeldLock
 
 # Bump whenever the per-file model dict, the event format, or the
 # classification that feeds them changes shape or semantics.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def content_key(sf):

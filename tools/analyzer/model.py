@@ -152,13 +152,23 @@ REQUIRES_RE = re.compile(r"\b(REQUIRES|REQUIRES_SHARED)\s*\(([^()]*)\)")
 # Variable-declaration shapes used to type call receivers. Class types
 # in this codebase are CamelCase; requiring a leading capital keeps
 # `a * b` arithmetic and builtin-typed declarations out of the map.
+# A class template's arguments (`LruCache<const std::string> cache_`)
+# are skipped: calls resolve by the template's name.
+TEMPLATE_ARGS = r"(?:<[^<>;{}()]*>\s*)?"
 SMART_PTR_DECL_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:unique_ptr|shared_ptr|weak_ptr)\s*<\s*"
-    r"(?:const\s+)?([A-Za-z_][\w:]*)\s*>\s*(?:[*&]\s*)?([A-Za-z_]\w*)")
+    r"(?:const\s+)?([A-Za-z_][\w:]*)\s*" + TEMPLATE_ARGS +
+    r">\s*(?:[*&]\s*)?([A-Za-z_]\w*)")
 PTR_REF_DECL_RE = re.compile(
     r"\b(?:const\s+)?([A-Z]\w*)\s*[*&]+\s*(?:const\s+)?([A-Za-z_]\w*)")
 VALUE_MEMBER_RE = re.compile(
-    r"\b([A-Z]\w*)\s+(\w+_)\s*(?:GUARDED_BY\s*\([^)]*\)\s*)?[;={]")
+    r"\b([A-Z]\w*)\s*" + TEMPLATE_ARGS +
+    r"\s(\w+_)\s*(?:GUARDED_BY\s*\([^)]*\)\s*)?[;={]")
+# Type aliases of a class (`using BlockCache = LruCache<const char[]>;`):
+# a receiver declared with the alias resolves as the class.
+TYPE_ALIAS_RE = re.compile(
+    r"\busing\s+([A-Z]\w*)\s*=\s*(?:[A-Za-z_]\w*\s*::\s*)*([A-Z]\w*)"
+    r"\s*(?:<[^;]*>)?\s*;")
 
 
 # Value declarations (`WalEdit edit;`, `Iterator iter(&table_);`,
@@ -250,6 +260,7 @@ class Program:
         self.locks_global = {}              # canonical -> LockDecl | None(ambiguous)
         self.guarded_by_class = {}          # cls -> {field name -> GuardedField}
         self.member_types = {}              # (cls, member name) -> class type
+        self.type_aliases = {}              # alias -> class it names
         self.subclasses = {}                # base -> {derived}
         self.decl_requires = {}             # (cls, method) -> {(raw, shared)}
         if file_models is None:
@@ -258,6 +269,13 @@ class Program:
         self.functions_by_file = {}         # rel -> [Function], file order
         for sf, fm in zip(files, file_models):
             self._merge_file_model(sf, fm)
+        if self.type_aliases:
+            canon = lambda t: self.type_aliases.get(t, t)  # noqa: E731
+            self.member_types = {k: canon(t)
+                                 for k, t in self.member_types.items()}
+            for fn in self.functions:
+                fn.var_types = {k: canon(t)
+                                for k, t in fn.var_types.items()}
         for fn in self.functions:
             self.defs_by_name.setdefault(fn.name, []).append(fn)
             for req in self.decl_requires.get((fn.cls, fn.name), ()):
@@ -306,6 +324,8 @@ class Program:
             self.member_types.setdefault((cls, member), t)
         for base, derived in fm["subclasses"]:
             self.subclasses.setdefault(base, set()).add(derived)
+        for alias, target in fm["aliases"]:
+            self.type_aliases.setdefault(alias, target)
         for cls, method, raw, shared in fm["decl_requires"]:
             self.decl_requires.setdefault((cls, method), set()).add(
                 (raw, bool(shared)))
@@ -590,6 +610,7 @@ def extract_file_model(sf):
         "guarded": [],        # [field, cls, guard, line]
         "member_types": [],   # [cls, member, type]
         "subclasses": [],     # [base, derived]
+        "aliases": [],        # [alias, class]
         "decl_requires": [],  # [cls, method, raw, shared]
     }
     for fn in _scan_functions(sf):
@@ -657,6 +678,9 @@ def _register_decls(sf, fm):
     contains it."""
     clean = sf.clean
     class_spans = _class_spans(clean, fm)
+    for m in TYPE_ALIAS_RE.finditer(clean):
+        if m.group(1) != m.group(2):
+            fm["aliases"].append([m.group(1), m.group(2)])
 
     def owner(pos):
         best = ""
