@@ -39,4 +39,20 @@ Status Region::EnsureLocalIndexTree(const LsmOptions& options) {
   return Status::OK();
 }
 
+Status Region::WaitForCompactions() {
+  Status s = tree_->WaitForCompaction();
+  if (LsmTree* local = local_index_tree(); local != nullptr) {
+    Status local_status = local->WaitForCompaction();
+    if (s.ok()) s = std::move(local_status);
+  }
+  return s;
+}
+
+void Region::StopCompactions() {
+  tree_->StopCompaction();
+  if (LsmTree* local = local_index_tree(); local != nullptr) {
+    local->StopCompaction();
+  }
+}
+
 }  // namespace diffindex

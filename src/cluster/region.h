@@ -62,6 +62,12 @@ class Region {
   // REQUIRES: holding write_mu (serialized with other local-index writes).
   Status EnsureLocalIndexTree(const LsmOptions& options);
 
+  // The compaction jobs of both trees (lsm/lsm_tree.h). Wait returns the
+  // first failure of a job that ended; Stop fences both trees, after which
+  // no compaction writes or removes a file of this region.
+  Status WaitForCompactions();
+  void StopCompactions();
+
   // RETURN_CAPABILITY lets clang track locks acquired through these
   // accessors as `region->flush_gate_` / `region->write_mu_`.
   SharedMutex& flush_gate() RETURN_CAPABILITY(flush_gate_) {

@@ -111,11 +111,13 @@ RegionServer::RegionServer(NodeId id, std::string data_root, Fabric* fabric,
       wal_dir_(data_root_ + "/wal/s" + std::to_string(id)),
       fabric_(fabric),
       options_(options),
-      lsm_options_(options.lsm) {
+      lsm_options_(options.lsm),
+      compactor_(std::make_unique<Compactor>(options.metrics)) {
   if (lsm_options_.block_cache == nullptr && options_.block_cache_bytes > 0) {
     lsm_options_.block_cache =
         std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
+  lsm_options_.compactor = compactor_.get();
   if (options_.metrics != nullptr) {
     rs_put_counter_ = options_.metrics->GetCounter("rs.put");
     admission_delayed_counter_ =
@@ -150,6 +152,7 @@ RegionServer::~RegionServer() {
   stopped_.store(true);
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   if (wal_gc_thread_.joinable()) wal_gc_thread_.join();
+  StopCompactor();
 }
 
 Status RegionServer::Start() {
@@ -181,6 +184,7 @@ Status RegionServer::Stop() {
   stopped_.store(true);
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   if (wal_gc_thread_.joinable()) wal_gc_thread_.join();
+  StopCompactor();
   fabric_->UnregisterNode(id_);
   MutexLock lock(wal_mu_);
   if (!wal_files_.empty() && wal_files_.back().writer != nullptr) {
@@ -196,6 +200,18 @@ void RegionServer::Crash() {
   stopped_.store(true);
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   if (wal_gc_thread_.joinable()) wal_gc_thread_.join();
+  StopCompactor();
+}
+
+void RegionServer::StopCompactor() {
+  std::vector<std::shared_ptr<Region>> regions;
+  {
+    ReaderMutexLock lock(regions_mu_);
+    for (const auto& [key, region] : regions_) regions.push_back(region);
+  }
+  // The region directories are shared: a survivor may open them next.
+  for (const auto& region : regions) region->StopCompactions();
+  compactor_->Shutdown();
 }
 
 void RegionServer::WalGcLoop() {
@@ -435,40 +451,42 @@ Status RegionServer::SplitRegion(const std::string& table,
   // index work references the parent's memtable).
   DIFFINDEX_RETURN_NOT_OK(FlushRegionInternal(parent));
 
-  // Block writes to the parent for the copy + swap.
-  WriterMutexLock gate(parent->flush_gate());
-
-  std::unique_ptr<Region> left_region, right_region;
-  DIFFINDEX_RETURN_NOT_OK(
-      Region::Open(lsm_options_, data_root_, left, &left_region));
-  DIFFINDEX_RETURN_NOT_OK(
-      Region::Open(lsm_options_, data_root_, right, &right_region));
-
-  // Copy all versions into the daughters. Cell keys order by row first,
-  // so [.., split'\0') and [split'\0', ..) partition the cell keyspace
-  // exactly at the row boundary.
-  const std::string split_cell = RowScanStart(split_key);
-  DIFFINDEX_RETURN_NOT_OK(
-      parent->tree()->ExportRecords("", split_cell, left_region->tree()));
-  DIFFINDEX_RETURN_NOT_OK(
-      parent->tree()->ExportRecords(split_cell, "", right_region->tree()));
-  DIFFINDEX_RETURN_NOT_OK(left_region->tree()->Flush());
-  DIFFINDEX_RETURN_NOT_OK(right_region->tree()->Flush());
-
-  // Atomic metadata swap: the parent disappears, the daughters take over.
   {
-    WriterMutexLock lock(regions_mu_);
-    regions_.erase({table, region_id});
-    flushed_seq_.erase({table, region_id});
-    regions_[{table, left.region_id}] =
-        std::shared_ptr<Region>(left_region.release());
-    regions_[{table, right.region_id}] =
-        std::shared_ptr<Region>(right_region.release());
-    flushed_seq_[{table, left.region_id}] = 0;
-    flushed_seq_[{table, right.region_id}] = 0;
+    // Block writes to the parent for the copy + swap.
+    WriterMutexLock gate(parent->flush_gate());
+
+    std::unique_ptr<Region> left_region, right_region;
+    DIFFINDEX_RETURN_NOT_OK(
+        Region::Open(lsm_options_, data_root_, left, &left_region));
+    DIFFINDEX_RETURN_NOT_OK(
+        Region::Open(lsm_options_, data_root_, right, &right_region));
+
+    // Copy all versions into the daughters. Cell keys order by row first,
+    // so [.., split'\0') and [split'\0', ..) partition the cell keyspace
+    // exactly at the row boundary.
+    const std::string split_cell = RowScanStart(split_key);
+    DIFFINDEX_RETURN_NOT_OK(
+        parent->tree()->ExportRecords("", split_cell, left_region->tree()));
+    DIFFINDEX_RETURN_NOT_OK(
+        parent->tree()->ExportRecords(split_cell, "", right_region->tree()));
+    DIFFINDEX_RETURN_NOT_OK(left_region->tree()->Flush());
+    DIFFINDEX_RETURN_NOT_OK(right_region->tree()->Flush());
+
+    // Atomic metadata swap: the parent disappears, the daughters take over.
+    {
+      WriterMutexLock lock(regions_mu_);
+      regions_.erase({table, region_id});
+      flushed_seq_.erase({table, region_id});
+      regions_[{table, left.region_id}] =
+          std::shared_ptr<Region>(left_region.release());
+      regions_[{table, right.region_id}] =
+          std::shared_ptr<Region>(right_region.release());
+      flushed_seq_[{table, left.region_id}] = 0;
+      flushed_seq_[{table, right.region_id}] = 0;
+    }
+    // The daughters' data was written by ExportRecords, not NoteWrite.
+    if (base_row_cache_ != nullptr) base_row_cache_->Clear();
   }
-  // The daughters' data was written by ExportRecords, not NoteWrite.
-  if (base_row_cache_ != nullptr) base_row_cache_->Clear();
 
   // Rebuild any local indexes over the daughters.
   if (hooks_ != nullptr) {
@@ -476,7 +494,9 @@ Status RegionServer::SplitRegion(const std::string& table,
     hooks_->OnRegionOpened(table, right.region_id);
   }
 
-  // Retire the parent's storage (its data now lives in the daughters).
+  // Retire the parent's storage (its data now lives in the daughters),
+  // once no compaction of it can write there any more.
+  parent->StopCompactions();
   // Best-effort: a leftover directory wastes disk but affects no reads.
   lsm_options_.env
       ->RemoveDirRecursively(Region::DataDir(data_root_, table, region_id))
@@ -505,6 +525,8 @@ Status RegionServer::CloseRegionForMove(const std::string& table,
     regions_.erase({table, region_id});
     flushed_seq_.erase({table, region_id});
   }
+  // The new owner opens the directory once this returns.
+  region->StopCompactions();
   // The region's rows may come back (move away and return) after another
   // owner mutated them; cached `latest` claims would then be stale.
   if (base_row_cache_ != nullptr) base_row_cache_->Clear();
@@ -516,11 +538,17 @@ Status RegionServer::CloseRegionForMove(const std::string& table,
 Status RegionServer::CloseRegion(const std::string& table,
                                  uint64_t region_id) {
   CHECK_YIELD("rs.region.close");
+  std::shared_ptr<Region> region;
   {
     WriterMutexLock lock(regions_mu_);
-    regions_.erase({table, region_id});
+    auto it = regions_.find({table, region_id});
+    if (it != regions_.end()) {
+      region = std::move(it->second);
+      regions_.erase(it);
+    }
     flushed_seq_.erase({table, region_id});
   }
+  if (region != nullptr) region->StopCompactions();
   if (base_row_cache_ != nullptr) base_row_cache_->Clear();
   return Status::OK();
 }
@@ -1046,7 +1074,7 @@ Status RegionServer::HandleRegionAdmin(MsgType type, Slice body) {
   }
   auto region = FindRegionById(req.table, req.region_id);
   if (region == nullptr) return Status::WrongRegion(req.table);
-  if (type == MsgType::kFlushRegion) return FlushRegionInternal(region);
+  if (type == MsgType::kFlushRegion) return FlushRegionAndWait(region);
   return region->tree()->CompactAll();
 }
 
@@ -1255,7 +1283,13 @@ Status RegionServer::FlushRegion(const std::string& table,
   if (stopped_.load()) return Status::Unavailable("region server stopped");
   auto region = FindRegionById(table, region_id);
   if (region == nullptr) return Status::WrongRegion(table);
-  return FlushRegionInternal(region);
+  return FlushRegionAndWait(region);
+}
+
+Status RegionServer::FlushRegionAndWait(
+    const std::shared_ptr<Region>& region) {
+  DIFFINDEX_RETURN_NOT_OK(FlushRegionInternal(region));
+  return region->WaitForCompactions();
 }
 
 Status RegionServer::FlushRegionInternal(
@@ -1356,7 +1390,7 @@ Status RegionServer::FlushAll() {
     for (const auto& [key, region] : regions_) regions.push_back(region);
   }
   for (const auto& region : regions) {
-    DIFFINDEX_RETURN_NOT_OK(FlushRegionInternal(region));
+    DIFFINDEX_RETURN_NOT_OK(FlushRegionAndWait(region));
   }
   return Status::OK();
 }

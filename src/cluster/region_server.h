@@ -30,6 +30,7 @@
 #include "cluster/base_row_cache.h"
 #include "cluster/catalog.h"
 #include "cluster/region.h"
+#include "lsm/compactor.h"
 #include "lsm/wal.h"
 #include "net/fabric.h"
 #include "net/message.h"
@@ -126,7 +127,7 @@ struct RegionServerOptions {
   // Compaction pacing: when >= 0 and the region's disk-store count reaches
   // lsm.compaction_trigger + this slack, the L0 debt counts as stall
   // pressure on the same admission path (delay, then reject), slowing
-  // writers down until the flush-time compaction catches up. -1 disables
+  // writers down until the background compactor catches up. -1 disables
   // the L0 leg.
   int admission_l0_slack = -1;
   // Observability sinks (either may be null): server-side spans
@@ -147,11 +148,15 @@ class RegionServer {
 
   // Registers the fabric endpoint and opens the WAL.
   Status Start();
-  // Graceful stop: final flush, close WAL, unregister. A crash is
-  // simulated by destroying the server without calling this.
+  // Graceful stop: final flush (and the compactions it triggers), close
+  // WAL, unregister. A crash is simulated by destroying the server without
+  // calling this.
   Status Stop();
   // Crash simulation: halts background threads without flushing anything;
-  // memtable contents survive only through the WAL.
+  // memtable contents survive only through the WAL. A compaction job in
+  // flight is abandoned before it installs its output (or, past that
+  // point, finishes first): once Crash returns, this server writes and
+  // removes no file of its regions.
   void Crash();
 
   NodeId id() const { return id_; }
@@ -230,9 +235,13 @@ class RegionServer {
   Status ScanRegionRows(const std::string& table, uint64_t region_id,
                         std::vector<ScannedRow>* rows);
 
-  // Forces a flush of every region (graceful shutdown, tests).
+  // Forces a flush of every region (graceful shutdown, tests). These admin
+  // calls return once the compaction jobs they triggered have ended, so
+  // the caller sees a settled tree; the put path's flushes do not wait.
   Status FlushAll();
   Status FlushRegion(const std::string& table, uint64_t region_id);
+  // Major compaction of the region's base tree, on the compactor thread;
+  // returns when it has ended.
   Status CompactRegion(const std::string& table, uint64_t region_id);
 
   TimestampOracle* oracle() { return &oracle_; }
@@ -292,6 +301,10 @@ class RegionServer {
   // never reached disk).
   void MaybeRollWalLocked() REQUIRES(wal_mu_);
   Status FlushRegionInternal(const std::shared_ptr<Region>& region);
+  // FlushRegionInternal, then waits for the compactions it triggered.
+  Status FlushRegionAndWait(const std::shared_ptr<Region>& region);
+  // Fences every hosted region's compactions and stops the compactor.
+  void StopCompactor();
   Status OpenRegionInternal(const RegionInfoWire& info);
   // Future edit sequences must sort after everything a previous owner
   // persisted for an adopted region.
@@ -359,6 +372,10 @@ class RegionServer {
 
   TimestampOracle oracle_;
   IndexMaintenanceHooks* hooks_ = nullptr;
+
+  // The server's one compaction thread, shared by every tree through
+  // lsm_options_.compactor. Declared before regions_ so it outlives them.
+  std::unique_ptr<Compactor> compactor_;
 
   // Lock order when more than one is held: region flush gate -> region
   // write_mu -> wal_sync_mu_ -> wal_mu_ -> regions_mu_ (WAL GC reads

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "fault/failpoint.h"
+#include "lsm/compactor.h"
 #include "lsm/merging_iterator.h"
 #include "util/logging.h"
 
@@ -235,9 +236,9 @@ Status LsmTree::RecoverManifest() {
         durable_seq_.store(seq, std::memory_order_release);
         applied_seq_.store(seq, std::memory_order_release);
       } else if (token == "next_file") {
-        if (!(in >> next_file_number_)) {
-          return Status::Corruption("manifest: next_file");
-        }
+        uint64_t next;
+        if (!(in >> next)) return Status::Corruption("manifest: next_file");
+        next_file_number_.store(next, std::memory_order_relaxed);
       } else if (token == "file") {
         uint64_t num;
         if (!(in >> num)) return Status::Corruption("manifest: file");
@@ -257,7 +258,9 @@ Status LsmTree::RecoverManifest() {
     DIFFINDEX_RETURN_NOT_OK(
         SstReader::Open(options_, SstPath(num), num, &reader));
     tables.push_back(std::move(reader));
-    next_file_number_ = std::max(next_file_number_, num + 1);
+    if (next_file_number_.load(std::memory_order_relaxed) <= num) {
+      next_file_number_.store(num + 1, std::memory_order_relaxed);
+    }
   }
   {
     // Recovery runs before any reader thread exists, but state_ is
@@ -286,11 +289,13 @@ Status LsmTree::RecoverManifest() {
 }
 
 Status LsmTree::WriteManifest() {
+  MutexLock lock(manifest_mu_);
   std::ostringstream out;
   out << "flushed_ts " << flushed_ts_.load(std::memory_order_acquire) << "\n";
   out << "applied_seq " << durable_seq_.load(std::memory_order_acquire)
       << "\n";
-  out << "next_file " << next_file_number_ << "\n";
+  out << "next_file " << next_file_number_.load(std::memory_order_relaxed)
+      << "\n";
   for (const auto& table : Snapshot()->tables) {
     out << "file " << table->meta().file_number << "\n";
   }
@@ -298,9 +303,10 @@ Status LsmTree::WriteManifest() {
   std::unique_ptr<WritableFile> file;
   DIFFINDEX_RETURN_NOT_OK(options_.env->NewWritableFile(tmp_path, &file));
   DIFFINDEX_RETURN_NOT_OK(file->Append(out.str()));
-  // ANALYZER_WAIVE(blocking-under-lock): flush/split hold the gate
-  // exclusively to serialize exactly this durable manifest write — that
-  // is the gate's job, not an accidental blocking call.
+  // ANALYZER_WAIVE(blocking-under-lock): manifest_mu_ exists to serialize
+  // exactly this durable write between a flush and a compaction job, and
+  // a flush holds the gate exclusively around it — that is the gate's
+  // job, not an accidental blocking call.
   DIFFINDEX_RETURN_NOT_OK(file->Sync());
   DIFFINDEX_RETURN_NOT_OK(file->Close());
   return options_.env->RenameFile(tmp_path, dir_ + "/" + kManifestName);
@@ -364,7 +370,7 @@ Status LsmTree::Flush() {
     Install(std::move(next));
   }
 
-  const uint64_t file_number = next_file_number_++;
+  const uint64_t file_number = next_file_number_.fetch_add(1);
   SstMeta meta;
   auto iter = imm->NewIterator();
   Status build_status =
@@ -419,22 +425,141 @@ Status LsmTree::Flush() {
         ->Add(static_cast<uint64_t>(micros));
   }
 
-  if (NumDiskStores() >= options_.compaction_trigger) {
-    return CompactAll();
+  if (options_.compactor != nullptr &&
+      NumDiskStores() >= options_.compaction_trigger) {
+    RequestCompaction(/*forced=*/false);
   }
   return Status::OK();
 }
 
+LsmTree::~LsmTree() { StopCompaction(); }
+
 Status LsmTree::CompactAll() {
+  if (options_.compactor == nullptr) return MergeAllStores();
+  RequestCompaction(/*forced=*/true);
+  return WaitForCompaction();
+}
+
+void LsmTree::RequestCompaction(bool forced) {
+  bool run_here = false;
+  {
+    MutexLock lock(job_mu_);
+    if (compaction_stopped_) {
+      if (forced) job_status_ = Status::Aborted("compaction stopped");
+      return;
+    }
+    if (forced) job_forced_ = true;
+    switch (job_state_) {
+      case JobState::kQueued:
+        return;  // the queued job has not read the store list yet
+      case JobState::kRunning:
+        job_rerun_ = true;
+        return;
+      case JobState::kIdle:
+        run_here = HandOffLocked();
+        break;
+    }
+  }
+  if (run_here) RunCompactionJob();
+}
+
+bool LsmTree::HandOffLocked() {
+  switch (options_.compactor->Enqueue(this)) {
+    case Compactor::Handoff::kQueued:
+      job_state_ = JobState::kQueued;
+      return false;
+    case Compactor::Handoff::kRunHere:
+      job_state_ = JobState::kQueued;
+      return true;
+    case Compactor::Handoff::kRefused:
+      break;
+  }
+  job_status_ = Status::Aborted("compactor shut down");
+  job_cv_.SignalAll();
+  return false;
+}
+
+void LsmTree::RunCompactionJob() {
+  for (;;) {
+    {
+      MutexLock lock(job_mu_);
+      if (compaction_stopped_) {
+        job_state_ = JobState::kIdle;
+        options_.compactor->JobEnded();
+        job_cv_.SignalAll();
+        return;
+      }
+      job_state_ = JobState::kRunning;
+      job_rerun_ = false;
+      job_forced_ = false;
+    }
+    const Status s = MergeAllStores();
+    bool run_again = false;
+    {
+      MutexLock lock(job_mu_);
+      job_status_ = s;
+      job_state_ = JobState::kIdle;
+      options_.compactor->JobEnded();
+      if (job_rerun_ && !compaction_stopped_ &&
+          (job_forced_ ||
+           NumDiskStores() >= options_.compaction_trigger)) {
+        run_again = HandOffLocked();
+      }
+      job_rerun_ = false;
+      // Nothing touches the tree after this: a fence waiting for kIdle
+      // may destroy it as soon as job_mu_ is released.
+      if (job_state_ == JobState::kIdle) job_cv_.SignalAll();
+    }
+    if (!run_again) return;
+  }
+}
+
+void LsmTree::AbandonQueuedJob() {
+  MutexLock lock(job_mu_);
+  job_state_ = JobState::kIdle;
+  job_status_ = Status::Aborted("compactor shut down");
+  job_cv_.SignalAll();
+}
+
+Status LsmTree::WaitForCompaction() {
+  MutexLock lock(job_mu_);
+  job_cv_.Wait(job_mu_, [this]() REQUIRES(job_mu_) {
+    return job_state_ == JobState::kIdle;
+  });
+  Status s = std::move(job_status_);
+  job_status_ = Status::OK();
+  return s;
+}
+
+void LsmTree::StopCompaction() {
+  MutexLock lock(job_mu_);
+  compaction_stopped_ = true;
+  if (job_state_ == JobState::kQueued &&
+      options_.compactor->Cancel(this)) {
+    // A CompactAll may be waiting for the job that will now never run.
+    job_state_ = JobState::kIdle;
+    job_status_ = Status::Aborted("compaction stopped");
+    job_cv_.SignalAll();
+  }
+  // A job the thread already took sees the fence when it starts or before
+  // it installs its output.
+  job_cv_.Wait(job_mu_, [this]() REQUIRES(job_mu_) {
+    return job_state_ == JobState::kIdle;
+  });
+}
+
+Status LsmTree::MergeAllStores() {
   const auto compact_start = std::chrono::steady_clock::now();
   const std::vector<std::shared_ptr<SstReader>> inputs = Snapshot()->tables;
   if (inputs.size() <= 1) return Status::OK();
+  DIFFINDEX_FAILPOINT("lsm.compaction");
 
-  const uint64_t file_number = next_file_number_++;
+  const uint64_t file_number = next_file_number_.fetch_add(1);
   SstMeta meta;
   CompactionStats stats;
-  // All disk stores participate and the memtable only holds newer
-  // timestamps, so tombstones can be dropped (major compaction).
+  // Every disk store of the snapshot takes part, and the memtable and the
+  // stores flushed meanwhile only hold newer timestamps, so tombstones can
+  // be dropped (major compaction).
   DIFFINDEX_RETURN_NOT_OK(CompactTables(options_, inputs,
                                         SstPath(file_number), file_number,
                                         /*drop_tombstones=*/true, &meta,
@@ -443,6 +568,12 @@ Status LsmTree::CompactAll() {
   std::shared_ptr<SstReader> reader;
   DIFFINDEX_RETURN_NOT_OK(
       SstReader::Open(options_, SstPath(file_number), file_number, &reader));
+  {
+    // Fenced while the output was built: the region may already be open
+    // elsewhere. Install nothing; the next Open collects the orphan.
+    MutexLock lock(job_mu_);
+    if (compaction_stopped_) return Status::Aborted("compaction stopped");
+  }
 
   std::vector<std::shared_ptr<SstReader>> obsolete;
   {
@@ -465,6 +596,9 @@ Status LsmTree::CompactAll() {
     // Best-effort: inputs already left the manifest; a failed delete
     // leaves an orphan for the next open to collect.
     options_.env->RemoveFile(SstPath(t->meta().file_number)).IgnoreError();
+    // No new read can reach the table's blocks; free their cache charge
+    // now instead of waiting for LRU eviction.
+    t->EraseCachedBlocks();
   }
   if (options_.metrics != nullptr) {
     options_.metrics->GetCounter("lsm.compaction")->Add();

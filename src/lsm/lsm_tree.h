@@ -12,9 +12,17 @@
 // flushed_ts() to decide which WAL entries still need replay after a crash
 // (WAL roll-forward).
 //
-// Threading contract: Put/Delete/Flush/Compact* must be serialized by the
-// caller (HBase sequences writes within a region); Get/Scan are safe from
-// any thread at any time and never block behind writes or flushes.
+// Threading contract: Put/Delete/Flush must be serialized by the caller
+// (HBase sequences writes within a region); compaction may run beside
+// them, on the compactor thread (lsm/compactor.h) or in a CompactAll
+// call. Get/Scan are safe from any thread at any time and never block
+// behind writes, flushes or compactions.
+//
+// Compaction jobs: a flush that leaves compaction_trigger or more disk
+// stores asks the compactor to run the tree's job, a whole-store merge.
+// Triggers coalesce: at most one job per tree is queued or running, and a
+// trigger that arrives while the job runs makes it re-check the store
+// count when it ends. StopCompaction fences the tree for good.
 
 #ifndef DIFFINDEX_LSM_LSM_TREE_H_
 #define DIFFINDEX_LSM_LSM_TREE_H_
@@ -53,11 +61,29 @@ class LsmTree {
   Status Delete(const Slice& key, Timestamp ts);
 
   bool NeedsFlush() const;
-  // Synchronously flushes the memtable into a new disk store and then runs
-  // a merge compaction if the store count reached the trigger.
+  // Synchronously flushes the memtable into a new disk store and writes
+  // the manifest; if the store count reached the trigger, it then hands
+  // the tree's compaction job to the compactor (and returns without
+  // waiting for it).
   Status Flush();
-  // Major compaction of all disk stores.
+
+  // ---- Compaction (any thread) ----
+
+  // Major compaction: merges every disk store into one. Every store takes
+  // part, so tombstones are dropped. With a compactor this runs as the
+  // tree's job and returns the job's status once it has ended; without
+  // one it runs on the calling thread. Aborted once the tree is fenced.
   Status CompactAll();
+  // Blocks until no job of this tree is queued or running. Returns the
+  // status of the last job that ended since the previous call (OK if
+  // none did), so a failed job is reported once.
+  Status WaitForCompaction();
+  // Fences the tree: no job starts after this returns, a queued job is
+  // dropped, and a running one is abandoned if it has not yet installed
+  // its output (the orphan output is collected by the next Open). Once it
+  // returns, compaction writes and removes nothing in the tree's
+  // directory. Idempotent; the destructor calls it.
+  void StopCompaction();
 
   // ---- Read path (thread-safe) ----
 
@@ -146,7 +172,11 @@ class LsmTree {
   uint64_t num_gets() const { return num_gets_.load(); }
   uint64_t num_puts() const { return num_puts_.load(); }
 
+  ~LsmTree();
+
  private:
+  friend class Compactor;
+
   LsmTree(const LsmOptions& options, std::string dir);
 
   // The sources a read consults. Immutable once published: a flush or
@@ -160,12 +190,30 @@ class LsmTree {
 
   class ReadBatch;
 
+  enum class JobState { kIdle, kQueued, kRunning };
+
   std::shared_ptr<const State> Snapshot() const;
   // Publishes `next` as the current state. REQUIRES: state_mu_ held.
   void Install(State next) REQUIRES(state_mu_);
-  Status WriteManifest();
+  // Persists the state current when it takes manifest_mu_, so concurrent
+  // writers (a flush and a job) leave the newer state on disk.
+  Status WriteManifest() EXCLUDES(manifest_mu_);
   Status RecoverManifest();
   std::string SstPath(uint64_t file_number) const;
+
+  // Queues the job if none is queued or running (a running one reruns
+  // instead). `forced` merges even below the trigger (CompactAll).
+  void RequestCompaction(bool forced) EXCLUDES(job_mu_);
+  // Hands the job to the compactor. Returns true if the caller must run
+  // it itself (DIFFINDEX_CHECK builds).
+  bool HandOffLocked() REQUIRES(job_mu_);
+  // The compactor thread's entry point: runs the queued job (and, in
+  // DIFFINDEX_CHECK builds, its reruns).
+  void RunCompactionJob() EXCLUDES(job_mu_);
+  // Shutdown dropped the queued job.
+  void AbandonQueuedJob() EXCLUDES(job_mu_);
+  // The merge itself: every disk store of one snapshot into one table.
+  Status MergeAllStores() EXCLUDES(job_mu_);
 
   // Builds a merging iterator over every source in `state`.
   static std::unique_ptr<RecordIterator> NewInternalIterator(
@@ -174,12 +222,24 @@ class LsmTree {
   const LsmOptions options_;
   const std::string dir_;
 
-  mutable Mutex state_mu_;  // guards the state_ pointer swap
+  // Guards the state_ pointer swap. Taken under job_mu_ and manifest_mu_.
+  mutable Mutex state_mu_{LockRank::kLsmStateMu, "state_mu_"};
   std::shared_ptr<const State> state_ GUARDED_BY(state_mu_);
 
-  // Only touched on the externally-serialized write path (Open/Flush/
-  // Compact), so it needs no lock of its own.
-  uint64_t next_file_number_ = 1;
+  // Serializes manifest writes (a flush and a job may both write).
+  Mutex manifest_mu_{LockRank::kLsmManifestMu, "manifest_mu_"};
+
+  // The compaction job of this tree (see the contract at the top).
+  Mutex job_mu_{LockRank::kLsmJobMu, "job_mu_"};
+  CondVar job_cv_;  // signalled when job_state_ returns to kIdle
+  JobState job_state_ GUARDED_BY(job_mu_) = JobState::kIdle;
+  bool job_rerun_ GUARDED_BY(job_mu_) = false;   // triggered while running
+  bool job_forced_ GUARDED_BY(job_mu_) = false;  // next job merges anyway
+  bool compaction_stopped_ GUARDED_BY(job_mu_) = false;
+  Status job_status_ GUARDED_BY(job_mu_);  // last ended job, until read
+
+  // Flushes and jobs take file numbers concurrently.
+  std::atomic<uint64_t> next_file_number_{1};
   std::atomic<Timestamp> flushed_ts_{0};
   std::atomic<uint64_t> applied_seq_{0};  // volatile, owner-updated per edit
   std::atomic<uint64_t> durable_seq_{0};  // persisted at flush

@@ -13,6 +13,8 @@
 
 namespace diffindex {
 
+class Compactor;
+
 struct LsmOptions {
   Env* env = Env::Default();
 
@@ -26,6 +28,11 @@ struct LsmOptions {
   // Shared across trees of one server so the cache size models the HBase
   // block cache (25% of heap in the paper's setup). May be nullptr.
   std::shared_ptr<BlockCache> block_cache;
+
+  // The server's background compaction thread (lsm/compactor.h), shared
+  // by its trees like the block cache. Null: a flush never compacts, and
+  // CompactAll merges on the calling thread.
+  Compactor* compactor = nullptr;
 
   // Flush the memtable once it holds this many bytes of key+value data.
   size_t memtable_flush_bytes = 4 << 20;
@@ -41,8 +48,8 @@ struct LsmOptions {
   // previous version shortly after an update.
   int max_versions = 3;
 
-  // Trigger a (minor) merge compaction when a region has this many
-  // on-disk stores.
+  // A flush that leaves this many disk stores asks the compactor for a
+  // major compaction: one merge of every disk store of the tree.
   int compaction_trigger = 6;
 };
 

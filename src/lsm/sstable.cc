@@ -281,15 +281,28 @@ size_t SstReader::FindBlock(const Slice& target_internal_key) const {
   return lo;
 }
 
+std::string SstReader::CacheKey(uint64_t offset) const {
+  // Two varints, well inside std::string's inline buffer: building the key
+  // allocates nothing.
+  std::string key;
+  PutVarint64(&key, cache_id_);
+  PutVarint64(&key, offset);
+  return key;
+}
+
+void SstReader::EraseCachedBlocks() const {
+  if (options_.block_cache == nullptr) return;
+  for (const IndexEntry& entry : index_) {
+    options_.block_cache->Erase(CacheKey(entry.offset));
+  }
+}
+
 Status SstReader::ReadBlock(size_t block_idx,
                             std::shared_ptr<const char[]>* block) const {
   const IndexEntry& entry = index_[block_idx];
   std::string cache_key;
   if (options_.block_cache != nullptr) {
-    // Two varints, well inside std::string's inline buffer: building the
-    // key allocates nothing.
-    PutVarint64(&cache_key, cache_id_);
-    PutVarint64(&cache_key, entry.offset);
+    cache_key = CacheKey(entry.offset);
     BlockCache::Handle cached = options_.block_cache->Lookup(cache_key);
     if (cached != nullptr) {
       *block = std::move(cached);

@@ -101,6 +101,11 @@ class SstReader {
   // False only if the table certainly holds no cell of `row`.
   bool RowMayMatch(const Slice& row) const;
 
+  // Drops this table's blocks from the block cache. For a retired table
+  // (compacted away): its keys carry this reader's id, so no new read can
+  // look them up, yet they would hold their charge until LRU evicts them.
+  void EraseCachedBlocks() const;
+
  private:
   friend class SstIterator;
 
@@ -118,6 +123,9 @@ class SstReader {
   Status ReadBlock(size_t block_idx, std::shared_ptr<const char[]>* block) const;
 
   bool FilterMayMatch(const Slice& key) const;
+
+  // The block cache key of the block at file offset `offset`.
+  std::string CacheKey(uint64_t offset) const;
 
   // Index position of the first block whose last key >= target, or
   // index_.size() if none.

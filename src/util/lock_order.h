@@ -23,6 +23,10 @@
 //   wal_mu_      (RegionServer)    rank 40
 //   regions_mu_  (RegionServer)    rank 50
 //   auq mu_      (AsyncUpdateQueue) rank 60
+//   job_mu_      (LsmTree)         rank 70
+//   mu_          (Compactor)       rank 75
+//   manifest_mu_ (LsmTree)         rank 80
+//   state_mu_    (LsmTree)         rank 85
 //   catalog_mu_ / cache mutexes    rank 90 (leaves)
 //
 // Waived edge: two flush gates (rank kFlushGate) may be held together in
@@ -59,6 +63,15 @@ enum class LockRank : int {
   kWalMu = 40,       // RegionServer::wal_mu_
   kRegionsMu = 50,   // RegionServer::regions_mu_
   kAuqMu = 60,       // AsyncUpdateQueue::mu_
+  // A flush (under the gate, or write_mu for a local index tree) hands its
+  // tree's compaction job to the server's compactor: job state first,
+  // then the compactor's queue.
+  kLsmJobMu = 70,       // LsmTree::job_mu_
+  kCompactorMu = 75,    // Compactor::mu_
+  // Flush and the compactor thread both write a tree's manifest; the
+  // write reads the tree's state under the manifest lock.
+  kLsmManifestMu = 80,  // LsmTree::manifest_mu_
+  kLsmStateMu = 85,     // LsmTree::state_mu_
   kLeaf = 90,        // catalog_mu_, cache internals: never nest further
 };
 

@@ -86,6 +86,7 @@ enum class Event {
   kFlush,
   kKill,
   kSilentCrash,
+  kKillMidCompaction,
   kAddServer,
   kPartition,
   kFailpoints,
@@ -99,6 +100,7 @@ const char* EventName(Event e) {
     case Event::kFlush: return "flush";
     case Event::kKill: return "kill";
     case Event::kSilentCrash: return "silent-crash";
+    case Event::kKillMidCompaction: return "kill-mid-compaction";
     case Event::kAddServer: return "add-server";
     case Event::kPartition: return "partition";
     case Event::kFailpoints: return "failpoints";
@@ -434,6 +436,7 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opt) {
     if (opt.enable_crashes && live_count() > 2) {
       menu.push_back(Event::kKill);
       menu.push_back(Event::kSilentCrash);
+      menu.push_back(Event::kKillMidCompaction);
       menu.push_back(Event::kAddServer);
     }
     if (opt.enable_partitions && live_count() >= 2) {
@@ -472,6 +475,28 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opt) {
         report.crashes++;
         (void)cluster->SilentlyCrashServer(silent_victim);
         break;
+      case Event::kKillMidCompaction: {
+        // Kill a server while its compactor merges: flush (each region
+        // gains a store), compact the victim's regions on a side thread,
+        // and kill it once a merge is queued or running.
+        report.crashes++;
+        (void)client->raw_client()->FlushTable("t");
+        const NodeId victim = random_live_server();
+        RegionServer* server = cluster->server(victim);
+        std::thread compacting([server] {
+          for (const RegionInfoWire& region : server->HostedRegions()) {
+            (void)server->CompactRegion(region.table, region.region_id);
+          }
+        });
+        obs::Gauge* pending =
+            cluster->metrics()->GetGauge("lsm.compaction.pending");
+        for (int i = 0; i < 2000 && pending->value() == 0; i++) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        (void)cluster->KillServer(victim);
+        compacting.join();
+        break;
+      }
       case Event::kAddServer:
         (void)cluster->AddServer(next_server_id++);
         break;

@@ -10,6 +10,7 @@
 #include <optional>
 #include <unistd.h>
 
+#include "lsm/compactor.h"
 #include "util/random.h"
 
 namespace diffindex {
@@ -252,14 +253,18 @@ TEST_F(LsmTreeTest, OrphanSstRemovedOnOpen) {
 }
 
 TEST_F(LsmTreeTest, CompactionTriggerFiresAutomatically) {
+  Compactor compactor(nullptr);
+  options_.compactor = &compactor;
   options_.compaction_trigger = 3;
   Reopen();
   for (int i = 0; i < 3; i++) {
     ASSERT_TRUE(tree_->Put("k" + std::to_string(i), "v", i + 1).ok());
     ASSERT_TRUE(tree_->Flush().ok());
   }
-  // Third flush reached the trigger; stores merged into one.
+  // Third flush reached the trigger; the compactor merged the stores.
+  ASSERT_TRUE(tree_->WaitForCompaction().ok());
   EXPECT_EQ(tree_->NumDiskStores(), 1);
+  tree_.reset();  // before the compactor it was given goes away
 }
 
 TEST_F(LsmTreeTest, GetVersionsNewestFirst) {
